@@ -1,43 +1,53 @@
-"""Fully dynamic lower envelope of lines: insert, delete, point-minimum query.
+"""Dynamic minimum of lines under a moving query point: insert, delete,
+point-minimum query.
 
 Lines are y = slope*x + intercept, one per owner id. query_min(x) returns the
 stored line minimizing its value at x under the canonical tie rule: least
 value, then least slope, then least owner id.
 
-Geometry is handled in the dual: a line maps to the point (slope, intercept)
-and the envelope corresponds to the strict lower convex hull of the dominant
-point per distinct slope. Updates repair the hull locally:
+The structure is a kinetic tournament (Basch, Guibas & Hershberger, "Data
+structures for mobile data", J. Algorithms 31, 1999) over per-slope buckets:
 
-* lines sharing a slope live in a per-slope bucket; only the bucket minimum
-  (least intercept, then least owner) can reach the hull, and deleting it
-  promotes the next bucket line;
-* every off-hull slope group holds a shadow certificate: two live group
-  points whose segment ("chord") its point lies on or above, with a slack
-  budget of half the vertical margin per endpoint. The group provably cannot
-  reach the envelope until an endpoint's cumulative upward drift exceeds its
-  budget or an endpoint vanishes, so certificates sit in per-endpoint lazy
-  heaps keyed by drift thresholds and are only re-examined when due;
-* deleting the last line of a slope defers the group's teardown for one
-  operation, so the delete-then-reinsert-higher pattern of LPT scheduling
-  collapses into a cheap "raise this point" update.
+* each leaf holds the lines of one slope in a lazy heap on (intercept,
+  owner); only its minimum can win, so the leaf offers just that line;
+* each internal node keeps the winner of its two children at the current
+  query point x, plus the interval [lo, hi) of x on which that comparison and
+  every comparison below it still hold. Two lines of different slopes cross
+  once: the steeper one wins iff x is left of the crossing, which also
+  settles ties (at equal value the lesser slope wins);
+* a query at a new x replays only the nodes whose interval excludes x; an
+  update replays the leaf-to-root path of its slope at the current x. A
+  delete leaves that replay pending, and a reinsert on the same slope keeps
+  it pending, so each LPT step (delete, then reinsert higher) costs at most
+  one path replay;
+* when one leaf wins three queries in a row, the query caches the leaf's
+  rival: the best line beside its path, with the interval on which it stays
+  best. While that leaf is pending and no other leaf has changed, a query
+  inside the interval compares the leaf's new minimum with the rival and,
+  if it wins, answers without replaying the path.
 
-Queries cost O(log H) for hull size H. Updates cost O(log N) plus released
-certificate work, which is amortized constant on the scheduling workloads in
-this package; adversarial delete patterns can degrade updates, see the
-complexity notes in the README.
+Updates cost one path, O(log S) node replays for S distinct slopes (leaves are
+never freed; the tree doubles when it fills). A query replays every node whose
+certificate failed: in arbitrary order that has no logarithmic bound. On the
+LPT pattern (query points that only shrink, one raised line per query) the
+distinct-speed tests in tests/test_envelope.py measure at most 1.5 node
+replays per job per tree level, queries and updates together. With shared
+slopes LPT gives the same slope job after job, and replays per job fall as
+buckets fill: 8.1 and 1.35 on the acceptance battery's 301-slope instances
+at n = 10^4 and 10^5.
 """
 
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
 from heapq import heappop, heappush
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 from .errors import UsageError
 from .numeric import Scalar, scalar_to_str
 
 _NEG_INF = float("-inf")
+_POS_INF = float("inf")
 
 
 class Line(NamedTuple):
@@ -46,163 +56,131 @@ class Line(NamedTuple):
     owner: int
 
 
-class _Group:
-    """All stored lines sharing one slope, plus hull/certificate state."""
-
-    __slots__ = ("slope", "alive", "heap", "dom_icept", "dom_owner",
-                 "on_hull", "cert", "cert_version", "parked_heap", "rise")
-
-    def __init__(self, slope):
-        self.slope = slope
-        self.alive = {}            # owner -> intercept
-        self.heap = []             # lazy min-heap of (intercept, owner)
-        self.dom_icept = None
-        self.dom_owner = None
-        self.on_hull = False
-        self.cert = None           # (groupA, groupB) shadow chord
-        self.cert_version = 0      # bumps on park/unpark; stales heap entries
-        self.parked_heap = []      # (drift threshold, seq, group, version)
-        self.rise = None           # cumulative upward drift of the dominant
-
-    @property
-    def dead(self) -> bool:
-        return not self.alive
-
-    def refresh_dominant(self) -> None:
-        while self.heap:
-            icept, owner = self.heap[0]
-            if self.alive.get(owner) == icept:
-                self.dom_icept, self.dom_owner = icept, owner
-                return
-            heappop(self.heap)
-        self.dom_icept = self.dom_owner = None
-
-
 class LowerEnvelope:
     """Dynamic lower envelope with owner-keyed insert/delete and min queries."""
 
     def __init__(self):
-        self._gslopes = []       # ascending distinct slopes (dead groups stay)
-        self._groups = []        # parallel to _gslopes
-        self._owner_slope = {}   # owner -> slope, for delete lookup
-        self._size = 0
-        self._seq = 0            # heap tie-breaker
-        self._pending = None     # (group, old_icept) deferred teardown
-        # Hull pieces in ascending-x order (descending slope). Piece i covers
-        # [_hx[i], _hx[i+1]); _hx[0] is -inf.
-        self._hx = []
-        self._hp = []            # (slope, intercept, owner, group)
+        # A stored line is the entry (intercept, owner, slope, leaf); an
+        # entry in a leaf heap is live iff _where still holds that object.
+        self._where = {}         # owner -> entry
+        self._leaf_of = {}       # slope -> leaf index
+        self._heaps = []         # leaf index -> lazy min-heap of entries
+        self._x = 0              # the point every node's winner is valid at
+        self._dirty = None       # leaf whose path replay is pending
+        # (leaf, line, lo, hi): the best line outside that leaf's subtree,
+        # valid for x in [lo, hi) while no other leaf changes.
+        self._rival = None
+        self._streak = 0         # queries in a row won by the pending leaf
+        # Heap-ordered tree: node k has children 2k, 2k+1; leaf i is node
+        # _cap + i. _win holds the winning entry or None per node.
+        self._cap = 1
+        self._win = [None, None]
+        self._lo = [_NEG_INF, _NEG_INF]
+        self._hi = [_POS_INF, _POS_INF]
         self.counters = {
             "inserts": 0, "deletes": 0, "queries": 0,
-            "comparisons": 0, "hull_pops": 0, "releases": 0,
+            "comparisons": 0, "replays": 0,
         }
 
     # -- public API ---------------------------------------------------------
 
     def __len__(self) -> int:
-        return self._size
+        return len(self._where)
 
     def lines(self):
         """All stored lines, in no particular order."""
-        out = []
-        for g in self._groups:
-            for owner, icept in g.alive.items():
-                out.append(Line(g.slope, icept, owner))
-        return out
+        return [Line(e[2], e[0], e[1]) for e in self._where.values()]
 
     def insert(self, line: Line) -> None:
         """Add a line; its owner id must not be present yet."""
         slope, icept, owner = line
-        if owner in self._owner_slope:
+        if owner in self._where:
             raise UsageError(f"owner {owner} already has a stored line")
         self.counters["inserts"] += 1
-        self._owner_slope[owner] = slope
-        self._size += 1
-
-        if self._pending is not None:
-            g, old_icept = self._pending
-            if g.slope == slope and icept >= old_icept:
-                # The LPT fast path: the just-vacated slope returns with a
-                # higher intercept, so this is a plain upward move.
-                self._pending = None
-                g.alive[owner] = icept
-                heappush(g.heap, (icept, owner))
-                g.dom_icept, g.dom_owner = icept, owner
-                self._raise_dominant(g, old_icept)
-                return
-            self._flush_pending()
-
-        g = self._find_group(slope)
-        if g is None:
-            g = _Group(slope)
-            g.rise = icept - icept  # zero of the instance's numeric mode
-            idx = bisect_left(self._gslopes, slope)
-            self._gslopes.insert(idx, slope)
-            self._groups.insert(idx, g)
-        g.alive[owner] = icept
-        heappush(g.heap, (icept, owner))
-
-        if g.dom_icept is None:
-            g.dom_icept, g.dom_owner = icept, owner
-            self._place(g)
-        elif (icept, owner) < (g.dom_icept, g.dom_owner):
-            # An equal-intercept, smaller-owner takeover moves no dual point;
-            # a strictly lower one invalidates the group's own certificate.
-            lowered = icept < g.dom_icept
-            g.dom_icept, g.dom_owner = icept, owner
-            if g.on_hull:
-                self._update_hull_vertex(g, lowered)
-            elif lowered:
-                self._unpark(g)
-                self._place(g)
+        leaf = self._leaf_of.get(slope)
+        dirty = self._dirty
+        if dirty is not None and dirty != leaf:
+            self._flush()
+        if leaf is None:
+            leaf = self._new_leaf(slope)
+        entry = self._where[owner] = (icept, owner, slope, leaf)
+        heappush(self._heaps[leaf], entry)
+        if leaf == dirty:
+            return  # leaf and path stay pending; a query may skip the path
+        best = self._win[self._cap + leaf]
+        if best is None or entry < best:
+            self._settle(leaf)
 
     def delete(self, owner: int) -> None:
         """Remove the line with this owner id."""
-        slope = self._owner_slope.pop(owner, None)
-        if slope is None:
+        entry = self._where.pop(owner, None)
+        if entry is None:
             raise UsageError(f"no stored line with owner {owner}")
         self.counters["deletes"] += 1
-        self._size -= 1
-        self._flush_pending()
-        g = self._find_group(slope)
-        del g.alive[owner]
-
-        if owner != g.dom_owner:
-            return  # shadowed bucket line; the envelope is untouched
-        old_icept = g.dom_icept
-        g.refresh_dominant()
-
-        if g.dom_icept is None:
-            # Defer teardown one operation; a same-slope reinsert becomes a
-            # cheap raise instead of a certificate storm.
-            g.dom_icept, g.dom_owner = old_icept, None
-            self._pending = (g, old_icept)
-        elif g.dom_icept == old_icept:
-            if g.on_hull:  # equal-intercept twin: the dual point is unchanged
-                k = self._piece_index(g.slope)
-                s, c, _, _ = self._hp[k]
-                self._hp[k] = (s, c, g.dom_owner, g)
-        else:
-            self._raise_dominant(g, old_icept)
+        leaf = entry[3]
+        if self._win[self._cap + leaf] is not entry:
+            return  # not the bucket minimum (or the leaf is already pending)
+        heap = self._heaps[leaf]
+        if heap[0] is entry:  # else a smaller line arrived while pending
+            heappop(heap)
+        dirty = self._dirty
+        if dirty is not None and dirty != leaf:
+            self._flush()
+        self._dirty = leaf
 
     def query_min(self, x: Scalar):
         """Return (owner, value) of the minimal line at x >= 0, canonical ties."""
-        if self._size == 0:
+        if not self._where:
             raise UsageError("query on an empty envelope")
-        if x < 0:
+        if not x >= 0:  # also rejects nan
             raise UsageError(f"query point must be >= 0, got {scalar_to_str(x)}")
         self.counters["queries"] += 1
-        self._flush_pending()
-        i = bisect_right(self._hx, x) - 1
-        self.counters["comparisons"] += max(1, len(self._hx).bit_length())
-        s, c, owner, _ = self._hp[i]
-        return owner, s * x + c
+        flushed = self._dirty
+        if flushed is not None:
+            # LPT often picks the same slope again: if the pending leaf's
+            # minimum beats its rival, the stale path need not be replayed.
+            rival = self._rival
+            if rival is not None and rival[0] == flushed and rival[2] <= x < rival[3]:
+                self._refresh(flushed)
+                best = self._win[self._cap + flushed]
+                if best is not None:
+                    self.counters["comparisons"] += 1
+                    if rival[1] is None or _duel(best, rival[1], x)[0] is best:
+                        icept, owner, slope, _ = best
+                        return owner, slope * x + icept
+            self._flush()
+        self._x = x
+        lo, hi = self._lo, self._hi
+        if not lo[1] <= x < hi[1]:
+            # Collect failed nodes top-down; leaves never fail, and a node
+            # whose interval holds x vouches for its whole subtree.
+            failed, stack = [], [1]
+            while stack:
+                k = stack.pop()
+                if not lo[k] <= x < hi[k]:
+                    failed.append(k)
+                    stack.append(2 * k)
+                    stack.append(2 * k + 1)
+            failed.reverse()  # children before parents
+            self._replay(failed)
+        icept, owner, slope, leaf = self._win[1]
+        if leaf != flushed:
+            self._streak = 0
+        else:
+            # Wait for a third win in a row: short runs would not repay the
+            # cost of finding the rival.
+            self._streak += 1
+            if self._streak >= 2:
+                self._find_rival(leaf)
+        return owner, slope * x + icept
 
     def breakpoints(self):
         """Envelope pieces as (start_x, owner); the first start is None (-inf)."""
-        self._flush_pending()
-        return [(None if i == 0 else self._hx[i], p[2])
-                for i, p in enumerate(self._hp)]
+        if self._dirty is not None:
+            self._flush()
+        chain = self._hull_chain()
+        return [(None if i == 0 else _crossing(chain[i - 1], p), p[2])
+                for i, p in enumerate(chain)]
 
     def breakpoints_json(self) -> str:
         """The piece list as JSON, breakpoints rendered losslessly as strings."""
@@ -212,250 +190,158 @@ class LowerEnvelope:
         ]
         return json.dumps(entries)
 
-    # -- certificate bookkeeping ---------------------------------------------
+    # -- tournament ------------------------------------------------------------
 
-    def _chord_margin(self, a: _Group, g: _Group, b: _Group):
-        """Vertical gap between g's point and segment a--b (a.slope < b.slope)."""
-        span = b.slope - a.slope
-        chord = a.dom_icept + (b.dom_icept - a.dom_icept) * (g.slope - a.slope) / span
-        return g.dom_icept - chord
+    def _new_leaf(self, slope) -> int:
+        leaf = self._leaf_of[slope] = len(self._heaps)
+        self._heaps.append([])
+        if leaf == self._cap:
+            # Full: double the leaf row and replay every internal node.
+            cap = self._cap
+            self._win = [None] * (2 * cap) + self._win[cap:] + [None] * cap
+            self._lo = [_NEG_INF] * (4 * cap)
+            self._hi = [_POS_INF] * (4 * cap)
+            self._cap = 2 * cap
+            self._rival = None
+            self._replay(range(2 * cap - 1, 0, -1))
+        return leaf
 
-    def _park(self, g: _Group, a: _Group, b: _Group, margin) -> None:
-        """Certify g as shadowed by chord a--b; each endpoint gets half the
-        margin as drift budget before the certificate must be re-checked."""
-        g.cert_version += 1
-        g.cert = (a, b)
-        half = margin / 2
-        self._seq += 1
-        heappush(a.parked_heap, (a.rise + half, self._seq, g, g.cert_version))
-        self._seq += 1
-        heappush(b.parked_heap, (b.rise + half, self._seq, g, g.cert_version))
+    def _flush(self) -> None:
+        leaf, self._dirty = self._dirty, None
+        self._settle(leaf)
 
-    def _unpark(self, g: _Group) -> None:
-        g.cert_version += 1  # stales both heap entries lazily
-        g.cert = None
-
-    def _pop_due(self, g: _Group, due_only: bool) -> list:
-        """Pop overdue (or all) certificates parked on g; returns live ones."""
-        released = []
-        heap = g.parked_heap
-        while heap:
-            threshold, _, p, version = heap[0]
-            if due_only and threshold >= g.rise:
-                break
+    def _refresh(self, leaf: int) -> None:
+        """Drop deleted entries from the top of the leaf's heap and offer
+        its minimum."""
+        heap, where, node = self._heaps[leaf], self._where, self._cap + leaf
+        if heap and self._win[node] is heap[0]:
+            return  # refreshed since the last change
+        while heap and where.get(heap[0][1]) is not heap[0]:
             heappop(heap)
-            if p.cert_version == version and p.cert is not None:
-                self._unpark(p)
-                released.append(p)
-        self.counters["releases"] += len(released)
-        return released
+        self._win[node] = heap[0] if heap else None
 
-    def _replace_all(self, released: list) -> None:
-        """Re-test a batch of released groups.
+    def _settle(self, leaf: int) -> None:
+        """Refresh the leaf, then replay its path to the root."""
+        self._refresh(leaf)
+        if self._rival is not None and self._rival[0] != leaf:
+            self._rival = None
+        node = self._cap + leaf
+        self._replay([node >> i for i in range(1, self._cap.bit_length())])
 
-        The batch first certifies its own interior: a monotone chain over the
-        batch points parks every non-extreme member under two fellow batch
-        members. Those chords reference rarely-rising ordinary groups, so a
-        pocket of shadows released by a hot hull vertex does not immediately
-        re-certify against that same vertex; only the batch's own lower-hull
-        members fall through to a full placement.
-        """
-        pending = [p for p in released
-                   if not p.dead and not p.on_hull and p.cert is None]
-        if len(pending) > 2:
-            pending.sort(key=lambda g: g.slope)
-            chain = []
-            for g in pending:
-                while len(chain) >= 2:
-                    mid = chain[-1]
-                    margin = self._chord_margin(chain[-2], mid, g)
-                    self.counters["comparisons"] += 1
-                    if margin >= 0:
-                        chain.pop()
-                        self._park(mid, chain[-1], g, margin)
-                    else:
-                        break
-                chain.append(g)
-            pending = chain
-        for p in pending:
-            if not p.dead and not p.on_hull and p.cert is None:
-                self._place(p)
+    def _find_rival(self, leaf: int) -> None:
+        """Fold the winners beside the leaf's path into its rival at the
+        current x; every node is valid there."""
+        win, lo, hi, x = self._win, self._lo, self._hi, self._x
+        rival, rlo, rhi = None, _NEG_INF, _POS_INF
+        node = self._cap + leaf
+        while node > 1:
+            side = node ^ 1
+            rlo, rhi = max(rlo, lo[side]), min(rhi, hi[side])
+            line = win[side]
+            if rival is None:
+                rival = line
+            elif line is not None:
+                rival, dlo, dhi = _duel(rival, line, x)
+                rlo, rhi = max(rlo, dlo), min(rhi, dhi)
+                self.counters["comparisons"] += 1
+            node >>= 1
+        self._rival = (leaf, rival, rlo, rhi)
 
-    def _raise_dominant(self, g: _Group, old_icept) -> None:
-        """g's dominant moved up by (dom_icept - old_icept): charge the drift,
-        release overdue certificates, and repair g's own hull piece."""
-        g.rise = g.rise + (g.dom_icept - old_icept)
-        released = self._pop_due(g, due_only=True)
-        if g.on_hull:
-            k = self._piece_index(g.slope)
-            self._hp[k] = (g.slope, g.dom_icept, g.dom_owner, g)
-            hp = self._hp
-            if 0 < k < len(hp) - 1 and self._covered(hp[k - 1], hp[k], hp[k + 1]):
-                self._evict(k, hp[k - 1][3], hp[k + 1][3])
-                self._hx[k] = self._bp(hp[k - 1], hp[k])
+    def _replay(self, nodes) -> None:
+        """Recompute each node from its children at the current x, in order.
+        A node's interval is its own comparison's, cut to both children's."""
+        win, lo, hi, x = self._win, self._lo, self._hi, self._x
+        comparisons = 0
+        for k in nodes:
+            left = 2 * k
+            klo, other = lo[left], lo[left + 1]
+            if other > klo:
+                klo = other
+            khi, other = hi[left], hi[left + 1]
+            if other < khi:
+                khi = other
+            a, b = win[left], win[left + 1]
+            if a is None:
+                win[k] = b
+            elif b is None:
+                win[k] = a
             else:
-                self._refresh_seams(k)
-        # else: parked; its own certificate only gains margin as it rises
-        self._replace_all(released)
+                comparisons += 1
+                if a[2] < b[2]:
+                    a, b = b, a  # a is the steeper line
+                cross = (b[0] - a[0]) / (a[2] - b[2])
+                if x < cross:
+                    win[k] = a
+                    if cross < khi:
+                        khi = cross
+                else:
+                    win[k] = b
+                    if cross > klo:
+                        klo = cross
+            lo[k], hi[k] = klo, khi
+        self.counters["replays"] += len(nodes)
+        self.counters["comparisons"] += comparisons
 
-    def _flush_pending(self) -> None:
-        """Finish a deferred group teardown: drop its hull piece and release
-        every certificate that referenced it."""
-        if self._pending is None:
-            return
-        g, _ = self._pending
-        self._pending = None
-        g.dom_icept = g.dom_owner = None
-        released = self._pop_due(g, due_only=False)
-        if g.on_hull:
-            self._remove_hull_vertex(g)
-        self._unpark(g)
-        self._replace_all(released)
+    # -- envelope pieces and debug -------------------------------------------
 
-    # -- hull geometry ---------------------------------------------------------
-
-    def _find_group(self, slope) -> Optional[_Group]:
-        idx = bisect_left(self._gslopes, slope)
-        self.counters["comparisons"] += max(1, len(self._gslopes).bit_length())
-        if idx < len(self._gslopes) and self._gslopes[idx] == slope:
-            return self._groups[idx]
-        return None
-
-    def _piece_index(self, slope) -> int:
-        """First hull index whose slope is <= the given slope (_hp descends)."""
-        hp = self._hp
-        lo, hi = 0, len(hp)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            self.counters["comparisons"] += 1
-            if hp[mid][0] > slope:
-                lo = mid + 1
-            else:
-                hi = mid
-        return lo
-
-    def _bp(self, a, b):
-        """Breakpoint x where piece a (larger slope) hands over to piece b."""
-        return (a[1] - b[1]) / (b[0] - a[0])
-
-    def _covered(self, a, b, c):
-        """True if b never strictly wins between a and c (slopes a > b > c)."""
-        self.counters["comparisons"] += 1
-        return (b[1] - a[1]) * (b[0] - c[0]) >= (c[1] - b[1]) * (a[0] - b[0])
-
-    def _park_tight(self, g: _Group, fb_a: _Group, fb_b: _Group) -> None:
-        """Prefer the slope-adjacent live groups as g's certificate (keeps
-        release cascades local); fall back to the proven pair fb_a, fb_b."""
-        gi = bisect_left(self._gslopes, g.slope)
-        left = self._groups[gi - 1] if gi > 0 else None
-        right = self._groups[gi + 1] if gi + 1 < len(self._groups) else None
-        if left is not None and right is not None and left.alive and right.alive:
-            margin = self._chord_margin(left, g, right)
-            self.counters["comparisons"] += 1
-            if margin >= 0:
-                self._park(g, left, right, margin)
-                return
-        lo, hi = (fb_a, fb_b) if fb_a.slope < fb_b.slope else (fb_b, fb_a)
-        self._park(g, lo, hi, self._chord_margin(lo, g, hi))
-
-    def _place(self, g: _Group) -> None:
-        """Insert g's dominant point into the hull, or park it with a certificate."""
-        hx, hp = self._hx, self._hp
-        piece = (g.slope, g.dom_icept, g.dom_owner, g)
-        if not hp:
-            hx.append(_NEG_INF)
-            hp.append(piece)
-            g.on_hull = True
-            return
-        self.counters["comparisons"] += 2
-        if g.slope > hp[0][0]:           # steepest line: wins as x -> -inf
-            k = 0
-        elif g.slope < hp[-1][0]:        # shallowest line: wins as x -> +inf
-            k = len(hp)
-        else:
-            k = self._piece_index(g.slope)   # hp[k-1] > g.slope > hp[k]
-            if self._covered(hp[k - 1], piece, hp[k]):
-                self._park_tight(g, hp[k - 1][3], hp[k][3])
-                return
-        hx.insert(k, None)  # placeholder; seams fixed by _pop_around
-        hp.insert(k, piece)
-        g.on_hull = True
-        self._pop_around(k)
-
-    def _pop_around(self, k: int) -> None:
-        """Graham-style pops on both sides of the new/lowered piece k, then
-        refresh the seam breakpoints around it."""
-        hp = self._hp
-        piece = hp[k]
-        while k + 2 < len(hp) and self._covered(piece, hp[k + 1], hp[k + 2]):
-            self._evict(k + 1, piece[3], hp[k + 2][3])
-        while k >= 2 and self._covered(hp[k - 2], hp[k - 1], piece):
-            self._evict(k - 1, hp[k - 2][3], piece[3])
-            k -= 1
-        self._refresh_seams(k)
-
-    def _refresh_seams(self, k: int) -> None:
-        hx, hp = self._hx, self._hp
-        hx[k] = _NEG_INF if k == 0 else self._bp(hp[k - 1], hp[k])
-        if k + 1 < len(hp):
-            hx[k + 1] = self._bp(hp[k], hp[k + 1])
-
-    def _evict(self, k: int, chord_a: _Group, chord_b: _Group) -> None:
-        """Pop hull piece k, now shadowed by the chord_a--chord_b segment."""
-        g = self._hp[k][3]
-        g.on_hull = False
-        del self._hp[k]
-        del self._hx[k]
-        self.counters["hull_pops"] += 1
-        self._park_tight(g, chord_a, chord_b)
-
-    def _remove_hull_vertex(self, g: _Group) -> None:
-        k = self._piece_index(g.slope)
-        g.on_hull = False
-        del self._hp[k]
-        del self._hx[k]
-        if k == 0:
-            if self._hx:
-                self._hx[0] = _NEG_INF
-        elif k < len(self._hp):
-            self._hx[k] = self._bp(self._hp[k - 1], self._hp[k])
-
-    def _update_hull_vertex(self, g: _Group, lowered: bool) -> None:
-        """g is on the hull and its dominant moved to a lower (icept, owner)."""
-        k = self._piece_index(g.slope)
-        s = self._hp[k][0]
-        self._hp[k] = (s, g.dom_icept, g.dom_owner, g)
-        if lowered:
-            self._pop_around(k)
-
-    # -- debug ---------------------------------------------------------------
-
-    def check_invariants(self) -> None:
-        """Recompute the strict hull from scratch and compare; verify every
-        live off-hull group still sits on or above its certificate chord.
-        Test hook, not part of the hot path."""
-        self._flush_pending()
-        pts = [(g.slope, g.dom_icept, g.dom_owner, g)
-               for g in self._groups if not g.dead]
-        pts.sort(key=lambda p: p[0], reverse=True)
+    def _hull_chain(self) -> list:
+        """Bucket minima on the envelope, steepest first (Graham chain over
+        the strict lower hull of the dual points)."""
+        pts = sorted((Line(e[2], e[0], e[1]) for e in self._win[self._cap:]
+                      if e is not None), reverse=True)  # distinct slopes
         chain = []
         for p in pts:
-            while len(chain) >= 2 and self._covered(chain[-2], chain[-1], p):
+            while len(chain) >= 2 and _covered(chain[-2], chain[-1], p):
                 chain.pop()
             chain.append(p)
-        expect = [(p[0], p[1], p[2]) for p in chain]
-        got = [(p[0], p[1], p[2]) for p in self._hp]
-        assert got == expect, f"hull mismatch:\n got {got}\n want {expect}"
-        if self._hp:
-            assert self._hx[0] == _NEG_INF
-        for i in range(1, len(self._hp)):
-            assert self._hx[i] == self._bp(self._hp[i - 1], self._hp[i])
-        for g in self._groups:
-            if g.dead:
-                assert not g.on_hull and g.cert is None
-            elif not g.on_hull:
-                a, b = g.cert
-                assert a.alive and b.alive
-                lo, hi = (a, b) if a.slope < b.slope else (b, a)
-                assert lo.slope < g.slope < hi.slope
-                assert self._chord_margin(lo, g, hi) >= 0
+        return chain
+
+    def check_invariants(self) -> None:
+        """Check every leaf against its bucket and every node against a brute
+        force over its subtree at the current x (by value, so exact only in
+        rational mode). Test hook, not hot path."""
+        if self._dirty is not None:
+            self._flush()
+        cap, x, win = self._cap, self._x, self._win
+        buckets = {}
+        for e in self._where.values():
+            assert self._leaf_of[e[2]] == e[3]
+            if e[3] not in buckets or e < buckets[e[3]]:
+                buckets[e[3]] = e
+        for leaf in range(len(self._heaps)):
+            want = buckets.get(leaf)
+            assert win[cap + leaf] is want, f"leaf {leaf}: {win[cap + leaf]} != {want}"
+        for k in range(1, cap):
+            first, last = k, k + 1
+            while first < cap:
+                first, last = 2 * first, 2 * last
+            entries = [e for e in win[first:last] if e is not None]
+            want = min(entries, key=lambda e: (e[2] * x + e[0], e[2]), default=None)
+            assert win[k] is want, f"node {k} at x={x}: {win[k]} != {want}"
+            assert self._lo[k] <= x < self._hi[k], f"node {k} certificate excludes x"
+        if self._rival is not None:
+            leaf, line, rlo, rhi = self._rival
+            others = [e for i, e in enumerate(win[cap:]) if i != leaf and e is not None]
+            want = min(others, key=lambda e: (e[2] * x + e[0], e[2]), default=None)
+            assert line is want and rlo <= x < rhi, f"rival of leaf {leaf} at x={x}"
+
+
+def _duel(a, b, x):
+    """The winner of two lines of different slopes at x, with the interval
+    [lo, hi) on which it stays the winner (the tie rule of _replay)."""
+    if a[2] < b[2]:
+        a, b = b, a  # a is the steeper line
+    cross = (b[0] - a[0]) / (a[2] - b[2])
+    if x < cross:
+        return a, _NEG_INF, cross
+    return b, cross, _POS_INF
+
+
+def _crossing(a, b):
+    """x where line a (larger slope) hands over to line b."""
+    return (a[1] - b[1]) / (b[0] - a[0])
+
+
+def _covered(a, b, c):
+    """True if b never strictly wins between a and c (slopes a > b > c)."""
+    return (b[1] - a[1]) * (b[0] - c[0]) >= (c[1] - b[1]) * (a[0] - b[0])

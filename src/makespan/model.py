@@ -13,6 +13,7 @@ index permutations so outputs can always be reported in input order.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -63,15 +64,19 @@ class Instance:
             raise UsageError("instance needs at least one machine")
         if not self.lengths:
             raise UsageError("instance needs at least one job")
+        # 0 < x < inf also rejects nan
         for j, v in enumerate(self.speeds):
-            if not v > 0:
-                raise UsageError(f"machine {j}: speed must be > 0, got {scalar_to_str(v)}")
+            if not 0 < v < math.inf:
+                raise UsageError(f"machine {j}: speed must be finite and > 0, "
+                                 f"got {scalar_to_str(v)}")
         for j, d in enumerate(self.batteries):
-            if d is not None and not d > 0:
-                raise UsageError(f"machine {j}: battery must be > 0, got {scalar_to_str(d)}")
+            if d is not None and not 0 < d < math.inf:
+                raise UsageError(f"machine {j}: battery must be finite and > 0, "
+                                 f"got {scalar_to_str(d)}")
         for i, l in enumerate(self.lengths):
-            if not l > 0:
-                raise UsageError(f"job {i}: length must be > 0, got {scalar_to_str(l)}")
+            if not 0 < l < math.inf:
+                raise UsageError(f"job {i}: length must be finite and > 0, "
+                                 f"got {scalar_to_str(l)}")
         if self.kind is Kind.RESTRICTED:
             if self.eligibility is None or len(self.eligibility) != len(self.lengths):
                 raise UsageError("RESTRICTED instance needs one eligibility set per job")
@@ -243,6 +248,14 @@ def makespan(instance: Instance, schedule: Schedule) -> Scalar:
     if not report.ok:
         raise UsageError(f"invalid schedule: {report.violations[:3]}")
     return max(schedule.loads[j] / instance.speeds[j] for j in range(instance.m))
+
+
+def battery_order(instance: Instance) -> list:
+    """Machine ids by non-increasing battery range, unbounded (None) first and
+    ties in ascending id order."""
+    batteries = instance.batteries
+    return sorted(range(instance.m), reverse=True,
+                  key=lambda j: math.inf if batteries[j] is None else batteries[j])
 
 
 def feasibility_check(instance: Instance) -> bool:

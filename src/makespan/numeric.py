@@ -9,6 +9,7 @@ arithmetic. Float mode is plain IEEE-754 round-to-nearest.
 from __future__ import annotations
 
 import enum
+import math
 from fractions import Fraction
 from typing import Union
 
@@ -72,7 +73,8 @@ def parse_scalar(text: str, mode: Mode) -> Scalar:
     """Parse a decimal string (or 'p/q') into a Scalar of the given mode.
 
     Rational mode converts decimals exactly: "2.5" becomes 5/2 with no
-    intermediate binary rounding. Float mode is the usual nearest float.
+    intermediate binary rounding. Float mode is the usual nearest float, and
+    rejects values that round to inf or nan ("inf", "1e400").
     """
     text = text.strip()
     if not text:
@@ -82,10 +84,14 @@ def parse_scalar(text: str, mode: Mode) -> Scalar:
             return Fraction(text)
         if "/" in text:
             num, den = text.split("/", 1)
-            return float(num) / float(den)
-        return float(text)
+            value = float(num) / float(den)
+        else:
+            value = float(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise UsageError(f"bad number {text!r}: {exc}") from exc
+    if not math.isfinite(value):
+        raise UsageError(f"bad number {text!r}: not finite in f64")
+    return value
 
 
 def scalar_to_str(x: Scalar) -> str:

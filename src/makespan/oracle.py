@@ -15,7 +15,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .errors import InfeasibleError, SizeGuardError, UsageError
-from .model import Instance, Kind, Schedule, build_schedule, feasibility_check
+from .model import (Instance, Kind, Schedule, battery_order, build_schedule,
+                    feasibility_check)
 from .numeric import Scalar, scalar_to_str
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -190,11 +191,7 @@ def makespan_lower_bound(instance: Instance) -> Scalar:
 
     # DWP: sweep jobs by descending length against drones by descending
     # battery, tracking the fastest admitted speed.
-    def battery_key(j):
-        d = instance.batteries[j]
-        return math.inf if d is None else d
-
-    order = sorted(range(instance.m), key=battery_key, reverse=True)
+    order = battery_order(instance)
     ptr, fastest = 0, None
     for i in sorted(range(instance.n), key=lengths.__getitem__, reverse=True):
         l = lengths[i]

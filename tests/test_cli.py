@@ -145,6 +145,17 @@ def test_schedule_float_mode(dwp_file, capsys):
     assert float(payload["makespan"]) == 6.0
 
 
+@pytest.mark.parametrize("length", ["inf", "1e400"])
+@pytest.mark.parametrize("algo", ["lpt-fast", "lpt-naive"])
+def test_schedule_non_finite_f64_exit_2(tmp_path, capsys, algo, length):
+    path = tmp_path / "huge.txt"
+    path.write_text(f"USP 1 2\n1\n{length}\n1\n", encoding="utf-8")
+    code = main(["schedule", "--algo", algo, "--input", str(path), "--numeric", "f64"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "parse error" in captured.err and captured.out == ""
+
+
 # -- gen -----------------------------------------------------------------------
 
 def test_gen_deterministic(capsys):

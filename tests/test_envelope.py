@@ -6,7 +6,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from makespan import Line, LowerEnvelope, UsageError
+from makespan import (GenSpec, Line, LowerEnvelope, Mode, UsageError, generate,
+                      lpt_fast)
 
 from conftest import linear_scan_min
 
@@ -257,3 +258,55 @@ def test_counters_track_api_calls():
     assert env.counters["deletes"] == 1
     assert env.counters["queries"] == 1
     assert env.counters["comparisons"] > 0
+
+
+@pytest.mark.parametrize("m", [100, 800])
+def test_lpt_distinct_speeds_one_path_replay_per_job(m):
+    # LPT's delete-then-reinsert of one slope must cost one path replay, so
+    # node replays per job stay near the tree depth, not twice it.
+    spec = GenSpec(family="uniform-usp", n=10 * m, m=m, grid=10 ** 4,
+                   speed_range=(F(1), F(100)), distinct_speeds=True, seed=m)
+    inst = generate(spec, Mode.F64)
+    depth = math.ceil(math.log2(len(set(inst.speeds))))
+    replays = lpt_fast(inst, record_trace=False).counters["replays"]
+    assert replays / inst.n <= 1.5 * depth, (replays / inst.n, depth)
+
+
+def test_same_slope_runs_with_side_updates_match_oracle():
+    # LPT-like steps keep one slope winning (so its rival gets cached),
+    # mixed with inserts and deletes on that slope and on others.
+    rng = random.Random(11)
+    env = LowerEnvelope()
+    slopes = [F(1, 2), F(1), F(3, 2), F(2)]
+    live = {}
+    nxt = 0
+    for _ in range(40):
+        live[nxt] = rng.choice(slopes)
+        env.insert(Line(live[nxt], F(rng.randint(0, 20)), nxt))
+        nxt += 1
+    x = F(400)
+    for step in range(1500):
+        roll = rng.random()
+        if roll < 0.6:
+            x -= F(rng.randint(0, 3), 7)
+            x = max(x, F(0))
+            got = env.query_min(x)
+            assert got == linear_scan_min(env, x), step
+            owner, value = got
+            if rng.random() < 0.2:  # a lower line joins the winner's slope
+                live[nxt] = live[owner]
+                env.insert(Line(live[nxt], F(rng.randint(-20, 0)), nxt))
+                nxt += 1
+            env.delete(owner)
+            env.insert(Line(live[owner], value, owner))
+        elif roll < 0.8:
+            live[nxt] = rng.choice(slopes)
+            env.insert(Line(live[nxt], F(rng.randint(0, 40)), nxt))
+            nxt += 1
+        elif len(live) > 1:
+            victim = rng.choice(sorted(live))
+            del live[victim]
+            env.delete(victim)
+        if step % 100 == 0:
+            env.check_invariants()
+    env.check_invariants()

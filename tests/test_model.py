@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -104,6 +105,16 @@ def test_instance_validation_errors():
         restricted([F(1)], [(F(1), {3})])  # unknown machine id
     with pytest.raises(UsageError):
         dwp([(F(1), F(0))], [F(1)])  # battery must be positive
+
+
+def test_instance_rejects_non_finite_floats():
+    for bad in (math.inf, math.nan):
+        with pytest.raises(UsageError):
+            usp([bad], [1.0])
+        with pytest.raises(UsageError):
+            usp([1.0], [bad])
+        with pytest.raises(UsageError):
+            dwp([(1.0, bad)], [1.0])
 
 
 def test_machine_job_accessors():

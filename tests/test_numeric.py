@@ -109,3 +109,9 @@ def test_sub_div_consistency(x, y):
     assert scalar_sub(x, y) == x + (-y)
     if y != 0:
         assert scalar_mul(scalar_div(x, y), y) == x
+
+
+def test_parse_float_mode_rejects_non_finite():
+    for text in ("inf", "-inf", "nan", "1e400", "1e300/1e-300"):
+        with pytest.raises(UsageError):
+            parse_scalar(text, Mode.F64)
