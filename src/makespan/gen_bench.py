@@ -4,6 +4,12 @@ sweeps against the exact oracle, and the wall-clock/counter benchmark harness.
 All random draws land on a decimal grid (default hundredths) so rational-mode
 arithmetic stays fast and generated files round-trip exactly. The same spec
 and seed always produce byte-identical output.
+
+The draw order is the byte-stability contract: ``generate`` seeds one
+``random.Random`` per spec and draws speeds, then lengths, then batteries,
+each with ``randint`` over the range's grid points (or ``sample`` for
+distinct speeds). Any change to that sequence or to its bounds changes every
+generated file; tests/test_gen_bench.py pins a digest over all families.
 """
 
 from __future__ import annotations
@@ -108,15 +114,17 @@ def generate(spec: GenSpec, mode: Mode = Mode.RATIONAL) -> Instance:
         kind = Kind.DWP if spec.family == "uniform-dwp" else Kind.USP
         eligibility = None
 
-        def draw(bounds):
+        def draws(bounds, count):
+            # the grid bounds once per range; then `count` randint calls
             lo_i, hi_i = _grid_points(*bounds, g)
-            return rng.randint(lo_i, hi_i)
+            randint = rng.randint
+            return [randint(lo_i, hi_i) for _ in range(count)]
 
         if spec.family == "equal-speed":
-            speeds_k = [draw(spec.speed_range)] * spec.m
+            speeds_k = draws(spec.speed_range, 1) * spec.m
         elif spec.family == "two-class-adversarial":
             # two speed classes and lengths spanning their critical ratios
-            v_hi = draw((Fraction(3, 2), Fraction(3)))
+            [v_hi] = draws((Fraction(3, 2), Fraction(3)), 1)
             speeds_k = [v_hi if rng.random() < 0.5 else g for _ in range(spec.m)]
         elif spec.distinct_speeds:
             lo_i, hi_i = _grid_points(*spec.speed_range, g)
@@ -125,16 +133,16 @@ def generate(spec: GenSpec, mode: Mode = Mode.RATIONAL) -> Instance:
                     f"speed grid has {hi_i - lo_i + 1} points, need {spec.m} distinct")
             speeds_k = rng.sample(range(lo_i, hi_i + 1), spec.m)
         else:
-            speeds_k = [draw(spec.speed_range) for _ in range(spec.m)]
+            speeds_k = draws(spec.speed_range, spec.m)
 
         if spec.family == "two-class-adversarial":
             length_bounds = (Fraction(1), Fraction(max(speeds_k) * 2, g))
         else:
             length_bounds = spec.length_range
-        lengths_k = [draw(length_bounds) for _ in range(spec.n)]
+        lengths_k = draws(length_bounds, spec.n)
 
         if kind is Kind.DWP:
-            batteries_k = [draw(spec.battery_range) for _ in range(spec.m)]
+            batteries_k = draws(spec.battery_range, spec.m)
             longest = max(lengths_k)
             if max(batteries_k) < longest:
                 roomiest = max(range(spec.m), key=lambda j: (batteries_k[j], -j))
@@ -174,7 +182,8 @@ def generate(spec: GenSpec, mode: Mode = Mode.RATIONAL) -> Instance:
 
 def decimal_str(x: Scalar) -> str:
     """Exact decimal rendering when the denominator is 2^a 5^b, else 'p/q'."""
-    if not isinstance(x, Fraction):
+    # floats first: isinstance(a float, Fraction) runs the slow ABC check
+    if isinstance(x, float) or not isinstance(x, Fraction):
         return repr(x)
     den = x.denominator
     if den == 1:
@@ -200,21 +209,19 @@ def decimal_str(x: Scalar) -> str:
 def write_instance(instance: Instance) -> str:
     """Serialize to the line-oriented instance format consumed by the CLI."""
     out = [f"{instance.kind.value} {instance.m} {instance.n}"]
-    for j in range(instance.m):
-        if instance.kind is Kind.DWP:
-            d = instance.batteries[j]
-            if d is None:
-                raise UsageError("DWP text format needs a finite battery per drone")
-            out.append(f"{decimal_str(instance.speeds[j])} {decimal_str(d)}")
-        else:
-            out.append(decimal_str(instance.speeds[j]))
-    for i in range(instance.n):
-        if instance.kind is Kind.RESTRICTED:
-            elig = sorted(instance.eligibility[i])
-            out.append(f"{decimal_str(instance.lengths[i])} {len(elig)} "
-                       + " ".join(map(str, elig)))
-        else:
-            out.append(decimal_str(instance.lengths[i]))
+    if instance.kind is Kind.DWP:
+        if None in instance.batteries:
+            raise UsageError("DWP text format needs a finite battery per drone")
+        out.extend(f"{decimal_str(v)} {decimal_str(d)}"
+                   for v, d in zip(instance.speeds, instance.batteries))
+    else:
+        out.extend(map(decimal_str, instance.speeds))
+    if instance.kind is Kind.RESTRICTED:
+        for length, eligible in zip(instance.lengths, instance.eligibility):
+            elig = sorted(eligible)
+            out.append(f"{decimal_str(length)} {len(elig)} " + " ".join(map(str, elig)))
+    else:
+        out.extend(map(decimal_str, instance.lengths))
     return "\n".join(out) + "\n"
 
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
+from operator import truediv
 from typing import Optional, Sequence
 
 from .errors import UsageError
@@ -44,6 +46,22 @@ class Job:
     length: Scalar
 
 
+def _check_scalars(values: tuple, scalar: type, what: str, optional: bool = False) -> None:
+    """Raise UsageError unless every value is a finite, positive ``scalar``
+    (or None, if ``optional``); ``what`` names a value by its index, as in
+    "job {}: length". 0 < x < inf also rejects nan."""
+    inf = math.inf
+    for x in values:
+        if not (isinstance(x, scalar) and 0 < x < inf) and not (optional and x is None):
+            # the first bad value: no earlier position holds the same object
+            where = what.format(next(k for k, y in enumerate(values) if y is x))
+            if not isinstance(x, scalar):
+                raise UsageError(f"{where} {x!r} is not a {scalar.__name__} like the "
+                                 f"first speed: an instance holds floats only or "
+                                 f"Fractions only")
+            raise UsageError(f"{where} must be finite and > 0, got {scalar_to_str(x)}")
+
+
 @dataclass(frozen=True)
 class Instance:
     """An immutable scheduling instance.
@@ -64,19 +82,11 @@ class Instance:
             raise UsageError("instance needs at least one machine")
         if not self.lengths:
             raise UsageError("instance needs at least one job")
-        # 0 < x < inf also rejects nan
-        for j, v in enumerate(self.speeds):
-            if not 0 < v < math.inf:
-                raise UsageError(f"machine {j}: speed must be finite and > 0, "
-                                 f"got {scalar_to_str(v)}")
-        for j, d in enumerate(self.batteries):
-            if d is not None and not 0 < d < math.inf:
-                raise UsageError(f"machine {j}: battery must be finite and > 0, "
-                                 f"got {scalar_to_str(d)}")
-        for i, l in enumerate(self.lengths):
-            if not 0 < l < math.inf:
-                raise UsageError(f"job {i}: length must be finite and > 0, "
-                                 f"got {scalar_to_str(l)}")
+        # one numeric mode throughout: the one of the first speed
+        scalar = Fraction if isinstance(self.speeds[0], Fraction) else float
+        _check_scalars(self.speeds, scalar, "machine {}: speed")
+        _check_scalars(self.batteries, scalar, "machine {}: battery", optional=True)
+        _check_scalars(self.lengths, scalar, "job {}: length")
         if self.kind is Kind.RESTRICTED:
             if self.eligibility is None or len(self.eligibility) != len(self.lengths):
                 raise UsageError("RESTRICTED instance needs one eligibility set per job")
@@ -172,21 +182,31 @@ def build_schedule(instance: Instance, assignment: Sequence[Sequence[int]]) -> S
     """Construct a Schedule from raw per-machine job lists, recomputing loads."""
     if len(assignment) != instance.m:
         raise UsageError(f"assignment has {len(assignment)} machine slots, expected {instance.m}")
-    zero = instance.lengths[0] - instance.lengths[0]
-    loads = []
-    for j in range(instance.m):
-        load = zero
-        for i in assignment[j]:
-            if not 0 <= i < instance.n:
-                raise UsageError(f"machine {j}: unknown job id {i}")
-            load += instance.lengths[i]
-        loads.append(load)
-    span = max(loads[j] / instance.speeds[j] for j in range(instance.m))
+    lengths, n = instance.lengths, instance.n
+    used = [jobs for jobs in assignment if jobs]
+    if used and (min(map(min, used)) < 0 or max(map(max, used)) >= n):
+        j, i = next((j, i) for j, jobs in enumerate(assignment)
+                    for i in jobs if not 0 <= i < n)
+        raise UsageError(f"machine {j}: unknown job id {i}")
+    loads = _loads(lengths, assignment)
     return Schedule(
-        assignment=tuple(tuple(a) for a in assignment),
+        assignment=tuple(map(tuple, assignment)),
         loads=tuple(loads),
-        makespan=span,
+        makespan=max(map(truediv, loads, instance.speeds)),
     )
+
+
+def _loads(lengths: tuple, assignment) -> list:
+    """Per-machine sums of the assigned lengths, each added left to right (an
+    explicit loop: from Python 3.12 on, sum() compensates float rounding)."""
+    zero = lengths[0] - lengths[0]
+    loads = []
+    for jobs in assignment:
+        load = zero
+        for i in jobs:
+            load += lengths[i]
+        loads.append(load)
+    return loads
 
 
 def validate(instance: Instance, schedule: Schedule) -> ValidationReport:
@@ -200,10 +220,11 @@ def validate(instance: Instance, schedule: Schedule) -> ValidationReport:
     if len(schedule.assignment) != instance.m:
         raise UsageError("schedule does not match instance machine count")
 
-    seen = [0] * instance.n
+    lengths, n = instance.lengths, instance.n
+    seen = [0] * n
     for j, jobs in enumerate(schedule.assignment):
         for i in jobs:
-            if not 0 <= i < instance.n:
+            if not 0 <= i < n:
                 raise UsageError(f"machine {j}: dangling job id {i}")
             seen[i] += 1
     for i, count in enumerate(seen):
@@ -216,20 +237,16 @@ def validate(instance: Instance, schedule: Schedule) -> ValidationReport:
         d = instance.batteries[j]
         if d is not None:
             for i in jobs:
-                if instance.lengths[i] > d:
-                    report.add("battery", f"job {i} (length {scalar_to_str(instance.lengths[i])})"
+                if lengths[i] > d:
+                    report.add("battery", f"job {i} (length {scalar_to_str(lengths[i])})"
                                           f" exceeds machine {j} battery {scalar_to_str(d)}")
         if instance.kind is Kind.RESTRICTED:
             for i in jobs:
                 if j not in instance.eligibility[i]:
                     report.add("eligibility", f"job {i} not eligible on machine {j}")
 
-    zero = instance.lengths[0] - instance.lengths[0]
     worst = None
-    for j, jobs in enumerate(schedule.assignment):
-        load = zero
-        for i in jobs:
-            load += instance.lengths[i]
+    for j, load in enumerate(_loads(lengths, schedule.assignment)):
         if load != schedule.loads[j]:
             report.add("load", f"machine {j}: stored load {scalar_to_str(schedule.loads[j])}"
                                f" != recomputed {scalar_to_str(load)}")

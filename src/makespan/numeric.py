@@ -96,9 +96,10 @@ def parse_scalar(text: str, mode: Mode) -> Scalar:
 
 def scalar_to_str(x: Scalar) -> str:
     """Lossless text form: 'p/q' (or 'p') for rationals, shortest repr for floats."""
-    if isinstance(x, Fraction):
-        return str(x)
-    return repr(x)
+    # floats first: isinstance(a float, Fraction) runs the slow ABC check
+    if isinstance(x, float) or not isinstance(x, Fraction):
+        return repr(x)
+    return str(x)
 
 
 def as_float(x: Scalar) -> float:

@@ -45,12 +45,23 @@ class LptTrace:
                 zip(self.job_ids, self.machine_ids, self.before, self.after))
 
     def decisions_json(self) -> list:
-        return [
-            {"job": i, "machine": j,
-             "before": scalar_to_str(b), "after": scalar_to_str(a)}
-            for i, j, b, a in zip(self.job_ids, self.machine_ids,
-                                  self.before, self.after)
-        ]
+        """The decisions as JSON objects {job, machine, before, after}, finish
+        times rendered by ``scalar_to_str`` (the shape of trace.schema.json).
+
+        Each finish time is rendered once: a machine's ``before`` is its
+        previous ``after``, so when it is that same object its string is
+        reused; any other ``before`` is rendered on its own.
+        """
+        values = self.after
+        after = list(map(scalar_to_str, values))
+        before = []
+        latest = {}  # machine -> index of its latest decision
+        for k, (j, b) in enumerate(zip(self.machine_ids, self.before)):
+            p = latest.get(j)
+            latest[j] = k
+            before.append(after[p] if p is not None and values[p] is b else scalar_to_str(b))
+        return [{"job": i, "machine": j, "before": b, "after": a}
+                for i, j, b, a in zip(self.job_ids, self.machine_ids, before, after)]
 
 
 def _job_order(instance: Instance) -> list:

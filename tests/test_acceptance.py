@@ -153,7 +153,7 @@ def test_07_near_linear_scaling():
     to 2e4 with time ratio >= 3 (< 5 min total)."""
     t0 = time.perf_counter()
     sizes = [(10_000, 1_000), (100_000, 10_000), (1_000_000, 100_000)]
-    fast = bench_scaling("lpt-fast", sizes, repetitions=1, seed=7)
+    fast = bench_scaling("lpt-fast", sizes, repetitions=3, seed=7)
     for r in fast:
         assert r.counters["inserts"] == r.m + r.n
         assert r.counters["deletes"] == r.n

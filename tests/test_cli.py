@@ -1,3 +1,4 @@
+import hashlib
 import json
 import subprocess
 import sys
@@ -7,7 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from makespan import Mode, ParseError
+from makespan import GenSpec, Mode, ParseError, generate, write_instance
 from makespan.cli import main, parse_instance_text
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
@@ -275,3 +276,26 @@ def test_console_script_help():
                             capture_output=True, text=True)
     assert result.returncode == 0
     assert "schedule" in result.stdout and "verify" in result.stdout
+
+
+# (family, scheduler) pairs covering all four schedulers
+TRACE_CASES = (("uniform-usp", "lpt-fast"), ("uniform-usp", "lpt-naive"),
+               ("equal-speed", "lpt-fast"), ("two-class-adversarial", "lpt-naive"),
+               ("uniform-dwp", "dwp-lpt"), ("paper-4.3", "lpt-restricted"))
+
+
+def test_schedule_trace_output_bytes_pinned(tmp_path, capsys):
+    """`schedule --trace` stdout in both numeric modes hashes to a pinned
+    digest: rendering may get faster, but its bytes never change."""
+    digest = hashlib.sha256()
+    path = tmp_path / "instance.txt"
+    for family, algo in TRACE_CASES:
+        for seed in range(3):
+            spec = GenSpec(family=family, n=60, m=7, seed=seed)
+            path.write_text(write_instance(generate(spec)), encoding="utf-8")
+            for numeric in ("rational", "f64"):
+                assert main(["schedule", "--algo", algo, "--input", str(path),
+                             "--numeric", numeric, "--trace"]) == 0
+                digest.update(capsys.readouterr().out.encode())
+    assert digest.hexdigest() == (
+        "4089395db8ff694b389574b3682da579da4126efd773e0627a13e70d0fe79b95")

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction as F
 
@@ -21,6 +22,28 @@ def test_generate_deterministic_bytes():
     assert a == b
     c = write_instance(generate(GenSpec(family="uniform-dwp", n=12, m=4, seed=100)))
     assert a != c
+
+
+def test_generated_bytes_pinned():
+    """sha256 over write_instance(generate(spec, mode)) for every family, both
+    modes, distinct speeds off and on, default and fine grids: the draw order
+    is the byte-stability contract, so this digest never changes."""
+    digest = hashlib.sha256()
+    for family in FAMILIES:
+        for mode in (Mode.RATIONAL, Mode.F64):
+            for distinct in (False, True):
+                for seed in range(12):
+                    specs = (
+                        GenSpec(family=family, n=1 + 7 * seed, m=1 + seed % 5,
+                                seed=seed, distinct_speeds=distinct),
+                        GenSpec(family=family, n=40, m=9, seed=1000 + seed, grid=10 ** 4,
+                                speed_range=(F(1), F(100)), length_range=(F(1, 3), F(250)),
+                                battery_range=(F(5), F(60)), distinct_speeds=distinct),
+                    )
+                    for spec in specs:
+                        digest.update(write_instance(generate(spec, mode)).encode())
+    assert digest.hexdigest() == (
+        "d3530fcc6dcec03385f3f738b0c09dc0c2ad238791c5195231933adf409f17a4")
 
 
 def test_graham_family_content():

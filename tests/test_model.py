@@ -117,6 +117,28 @@ def test_instance_rejects_non_finite_floats():
             dwp([(1.0, bad)], [1.0])
 
 
+def test_instance_rejects_mixed_modes():
+    for speeds, batteries, lengths in (
+            ([F(1), 2.0], [None, None], [F(1)]),
+            ([1.0], [None], [F(1)]),
+            ([F(1)], [None], [F(1), 1.0]),
+            ([F(1)], [3.0], [F(1)]),
+            ([1.0], [F(3)], [1.0]),
+            ([1], [None], [1.0])):  # ints are neither mode
+        with pytest.raises(UsageError, match="floats only or Fractions only"):
+            Instance(kind=Kind.USP if batteries[0] is None else Kind.DWP,
+                     speeds=tuple(speeds), batteries=tuple(batteries),
+                     lengths=tuple(lengths))
+
+
+def test_build_schedule_rejects_unknown_job_ids():
+    inst = usp([F(1), F(2)], [F(1), F(2)])
+    for assignment, bad in (([[0], [1, 2]], "machine 1: unknown job id 2"),
+                            ([[-1], [0, 1]], "machine 0: unknown job id -1")):
+        with pytest.raises(UsageError, match=bad):
+            build_schedule(inst, assignment)
+
+
 def test_machine_job_accessors():
     inst = dwp([(F(1), F(10))], [F(6)])
     assert inst.machine(0).speed == F(1) and inst.machine(0).battery == F(10)

@@ -1,3 +1,4 @@
+import json
 import random
 from fractions import Fraction as F
 
@@ -6,6 +7,7 @@ import pytest
 from makespan import (GenSpec, InfeasibleError, Mode, UsageError,
                       brute_force_opt, dwp_lpt, generate, lpt_fast, lpt_naive,
                       lpt_restricted, run_scheduler, validate)
+from makespan.numeric import scalar_to_str
 
 from conftest import dwp, restricted, usp
 
@@ -224,3 +226,33 @@ def test_trace_json_shape():
     inst = usp([F(2)], [F(4)])
     rows = lpt_naive(inst).decisions_json()
     assert rows == [{"job": 0, "machine": 0, "before": "0", "after": "2"}]
+
+
+def per_field_json(trace):
+    return [{"job": i, "machine": j, "before": scalar_to_str(b), "after": scalar_to_str(a)}
+            for i, j, b, a in trace.decisions()]
+
+
+@pytest.mark.parametrize("mode", [Mode.RATIONAL, Mode.F64])
+def test_decisions_json_matches_per_field_rendering(mode):
+    rng = random.Random(0xD5)
+    for seed in range(15):
+        n, m = rng.randint(1, 40), rng.randint(1, 6)
+        uin = generate(GenSpec(family="uniform-usp", n=n, m=m, seed=seed), mode)
+        din = generate(GenSpec(family="uniform-dwp", n=n, m=m, seed=seed), mode)
+        rin = restricted(uin.speeds, [(l, rng.sample(range(m), rng.randint(1, m)))
+                                      for l in uin.lengths])
+        for trace in (lpt_naive(uin), lpt_fast(uin), dwp_lpt(din), lpt_restricted(rin)):
+            assert json.dumps(trace.decisions_json()) == json.dumps(per_field_json(trace))
+
+
+def test_decisions_json_renders_fresh_before_values():
+    # a machine's `before` need not be the object of its previous `after`
+    for mode in (Mode.RATIONAL, Mode.F64):
+        trace = lpt_fast(generate(GenSpec(family="uniform-usp", n=30, m=4, seed=9), mode))
+        expected = json.dumps(trace.decisions_json())
+        trace.before = [b + b * 0 for b in trace.before]  # equal values, new objects
+        assert json.dumps(trace.decisions_json()) == expected
+        trace.before = [b + 1 for b in trace.before]      # other values
+        assert json.dumps(trace.decisions_json()) == json.dumps(per_field_json(trace))
+        assert json.dumps(trace.decisions_json()) != expected
