@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import InfeasibleError, ParseError, SizeGuardError, UsageError
 from .gen_bench import (DEFAULT_ALGORITHM, FAMILIES, GenSpec, bench_scaling,
@@ -71,6 +72,13 @@ def parse_instance_text(text: str, mode: Mode) -> Instance:
         raise ParseError(f"expected {1 + m + n} data lines for m={m}, n={n}, "
                          f"found {len(rows)}", rows[-1][0])
 
+    if kind is not Kind.RESTRICTED:
+        try:
+            return _convert_blocks(kind, mode, [line for _, line in rows[1:]], m)
+        except (ValueError, ZeroDivisionError):  # UsageError is a ValueError
+            pass  # the value-by-value scan below finds the defect in file
+            # order, or accepts the f64 'p/q' tokens that float() refuses
+
     speeds, batteries, lengths, eligibility = [], [], [], []
     for lineno, line in rows[1:1 + m]:
         tokens = line.split()
@@ -120,6 +128,22 @@ def parse_instance_text(text: str, mode: Mode) -> Instance:
         lengths=tuple(lengths),
         eligibility=tuple(eligibility) if kind is Kind.RESTRICTED else None,
     )
+
+
+def _convert_blocks(kind: Kind, mode: Mode, lines: list, m: int) -> Instance:
+    """The USP/DWP machine and job blocks, each converted in one pass;
+    ``Instance`` checks the values. Raises on any defect without saying where."""
+    convert = Fraction if mode is Mode.RATIONAL else float
+    machines = list(map(str.split, lines[:m]))
+    jobs = list(map(str.split, lines[m:]))
+    if (set(map(len, machines)) != {2 if kind is Kind.DWP else 1}
+            or set(map(len, jobs)) != {1}):
+        raise ValueError("a line has the wrong number of fields")
+    speeds = tuple(map(convert, map(itemgetter(0), machines)))
+    batteries = (tuple(map(convert, map(itemgetter(1), machines)))
+                 if kind is Kind.DWP else (None,) * m)
+    return Instance(kind=kind, speeds=speeds, batteries=batteries,
+                    lengths=tuple(map(convert, map(itemgetter(0), jobs))))
 
 
 # -- flag helpers ---------------------------------------------------------------

@@ -1,25 +1,28 @@
 """Dynamic minimum of lines under a moving query point: insert, delete,
-point-minimum query.
+point-minimum query, and the fused LPT step raise_min.
 
 Lines are y = slope*x + intercept, one per owner id. query_min(x) returns the
 stored line minimizing its value at x under the canonical tie rule: least
-value, then least slope, then least owner id.
+value, then least slope, then least owner id. raise_min(x) is one LPT step:
+it finds that line and sets its intercept to its value at x.
 
 The structure is a kinetic tournament (Basch, Guibas & Hershberger, "Data
 structures for mobile data", J. Algorithms 31, 1999) over per-slope buckets:
 
 * each leaf holds the lines of one slope in a lazy heap on (intercept,
   owner); only its minimum can win, so the leaf offers just that line;
-* each internal node keeps the winner of its two children at the current
-  query point x, plus the interval [lo, hi) of x on which that comparison and
-  every comparison below it still hold. Two lines of different slopes cross
-  once: the steeper one wins iff x is left of the crossing, which also
-  settles ties (at equal value the lesser slope wins);
+* each node of the tree is one (lo, hi, winner) tuple: the winner of its two
+  children at the current query point x, and the interval [lo, hi) of x on
+  which that comparison and every comparison below it still hold. Two lines
+  of different slopes cross once: the steeper one wins iff x is left of the
+  crossing, which also settles ties (at equal value the lesser slope wins);
 * a query at a new x replays only the nodes whose interval excludes x; an
-  update replays the leaf-to-root path of its slope at the current x. A
-  delete leaves that replay pending, and a reinsert on the same slope keeps
-  it pending, so each LPT step (delete, then reinsert higher) costs at most
-  one path replay;
+  update replays the path of its slope at the current x, walking up from the
+  leaf. Deleting a bucket minimum leaves that replay pending, and inserts on
+  the same slope keep it pending, until a query or an update of another
+  slope. raise_min replaces the winner in its bucket's heap and leaves the
+  same pending replay as that delete and reinsert, so an LPT step is one
+  call and costs at most one path replay;
 * when one leaf wins three queries in a row, the query caches the leaf's
   rival: the best line beside its path, with the interval on which it stays
   best. While that leaf is pending and no other leaf has changed, a query
@@ -40,7 +43,7 @@ at n = 10^4 and 10^5.
 from __future__ import annotations
 
 import json
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from typing import NamedTuple
 
 from .errors import UsageError
@@ -48,6 +51,7 @@ from .numeric import Scalar, scalar_to_str
 
 _NEG_INF = float("-inf")
 _POS_INF = float("inf")
+_EMPTY = (_NEG_INF, _POS_INF, None)  # a node without lines, valid everywhere
 
 
 class Line(NamedTuple):
@@ -72,11 +76,11 @@ class LowerEnvelope:
         self._rival = None
         self._streak = 0         # queries in a row won by the pending leaf
         # Heap-ordered tree: node k has children 2k, 2k+1; leaf i is node
-        # _cap + i. _win holds the winning entry or None per node.
+        # _cap + i. Each node is (lo, hi, winning entry or None); a leaf's
+        # winner is its bucket minimum, or a deleted entry while it is
+        # pending, and its interval is everything.
         self._cap = 1
-        self._win = [None, None]
-        self._lo = [_NEG_INF, _NEG_INF]
-        self._hi = [_POS_INF, _POS_INF]
+        self._nodes = [_EMPTY, _EMPTY]
         self.counters = {
             "inserts": 0, "deletes": 0, "queries": 0,
             "comparisons": 0, "replays": 0,
@@ -107,7 +111,7 @@ class LowerEnvelope:
         heappush(self._heaps[leaf], entry)
         if leaf == dirty:
             return  # leaf and path stay pending; a query may skip the path
-        best = self._win[self._cap + leaf]
+        best = self._nodes[self._cap + leaf][2]
         if best is None or entry < best:
             self._settle(leaf)
 
@@ -118,7 +122,7 @@ class LowerEnvelope:
             raise UsageError(f"no stored line with owner {owner}")
         self.counters["deletes"] += 1
         leaf = entry[3]
-        if self._win[self._cap + leaf] is not entry:
+        if self._nodes[self._cap + leaf][2] is not entry:
             return  # not the bucket minimum (or the leaf is already pending)
         heap = self._heaps[leaf]
         if heap[0] is entry:  # else a smaller line arrived while pending
@@ -130,49 +134,27 @@ class LowerEnvelope:
 
     def query_min(self, x: Scalar):
         """Return (owner, value) of the minimal line at x >= 0, canonical ties."""
-        if not self._where:
-            raise UsageError("query on an empty envelope")
-        if not x >= 0:  # also rejects nan
-            raise UsageError(f"query point must be >= 0, got {scalar_to_str(x)}")
-        self.counters["queries"] += 1
-        flushed = self._dirty
-        if flushed is not None:
-            # LPT often picks the same slope again: if the pending leaf's
-            # minimum beats its rival, the stale path need not be replayed.
-            rival = self._rival
-            if rival is not None and rival[0] == flushed and rival[2] <= x < rival[3]:
-                self._refresh(flushed)
-                best = self._win[self._cap + flushed]
-                if best is not None:
-                    self.counters["comparisons"] += 1
-                    if rival[1] is None or _duel(best, rival[1], x)[0] is best:
-                        icept, owner, slope, _ = best
-                        return owner, slope * x + icept
-            self._flush()
-        self._x = x
-        lo, hi = self._lo, self._hi
-        if not lo[1] <= x < hi[1]:
-            # Collect failed nodes top-down; leaves never fail, and a node
-            # whose interval holds x vouches for its whole subtree.
-            failed, stack = [], [1]
-            while stack:
-                k = stack.pop()
-                if not lo[k] <= x < hi[k]:
-                    failed.append(k)
-                    stack.append(2 * k)
-                    stack.append(2 * k + 1)
-            failed.reverse()  # children before parents
-            self._replay(failed)
-        icept, owner, slope, leaf = self._win[1]
-        if leaf != flushed:
-            self._streak = 0
-        else:
-            # Wait for a third win in a row: short runs would not repay the
-            # cost of finding the rival.
-            self._streak += 1
-            if self._streak >= 2:
-                self._find_rival(leaf)
+        icept, owner, slope, _ = self._query(x)
         return owner, slope * x + icept
+
+    def raise_min(self, x: Scalar):
+        """One LPT step: find the minimal line at x >= 0 as query_min does,
+        set its intercept to its value there, and return (owner, value).
+
+        This leaves the envelope, counters included, as query_min(x),
+        delete(owner) and insert(Line(slope, value, owner)) would: it counts
+        one query, one delete and one insert, and leaves the raised leaf
+        pending.
+        """
+        icept, owner, slope, leaf = self._query(x)
+        value = slope * x + icept
+        entry = self._where[owner] = (value, owner, slope, leaf)
+        heapreplace(self._heaps[leaf], entry)  # the live winner is its heap's top
+        self._dirty = leaf
+        counters = self.counters
+        counters["deletes"] += 1
+        counters["inserts"] += 1
+        return owner, value
 
     def breakpoints(self):
         """Envelope pieces as (start_x, owner); the first start is None (-inf)."""
@@ -192,15 +174,62 @@ class LowerEnvelope:
 
     # -- tournament ------------------------------------------------------------
 
+    def _query(self, x):
+        """The winning entry at x, with every node valid at x or the winner's
+        leaf still pending (see the rival check)."""
+        if not self._where:
+            raise UsageError("query on an empty envelope")
+        if not x >= 0:  # also rejects nan
+            raise UsageError(f"query point must be >= 0, got {scalar_to_str(x)}")
+        counters = self.counters
+        counters["queries"] += 1
+        nodes = self._nodes
+        flushed = self._dirty
+        if flushed is not None:
+            # LPT often picks the same slope again: if the pending leaf's
+            # minimum beats its rival, the stale path need not be replayed.
+            rival = self._rival
+            if rival is not None and rival[0] == flushed and rival[2] <= x < rival[3]:
+                self._refresh(flushed)
+                best = nodes[self._cap + flushed][2]
+                if best is not None:
+                    counters["comparisons"] += 1
+                    if rival[1] is None or _duel(best, rival[1], x)[0] is best:
+                        return best
+            self._flush()
+        self._x = x
+        lo, hi, best = nodes[1]
+        if not lo <= x < hi:
+            # Collect failed nodes top-down; leaves never fail, and a node
+            # whose interval holds x vouches for its whole subtree.
+            failed, stack = [], [1]
+            while stack:
+                k = stack.pop()
+                lo, hi, _ = nodes[k]
+                if not lo <= x < hi:
+                    failed.append(k)
+                    stack.append(2 * k)
+                    stack.append(2 * k + 1)
+            failed.reverse()  # children before parents
+            self._replay(failed)
+            best = nodes[1][2]
+        if best[3] != flushed:
+            self._streak = 0
+        else:
+            # Wait for a third win in a row: short runs would not repay the
+            # cost of finding the rival.
+            self._streak += 1
+            if self._streak >= 2:
+                self._find_rival(flushed)
+        return best
+
     def _new_leaf(self, slope) -> int:
         leaf = self._leaf_of[slope] = len(self._heaps)
         self._heaps.append([])
         if leaf == self._cap:
             # Full: double the leaf row and replay every internal node.
             cap = self._cap
-            self._win = [None] * (2 * cap) + self._win[cap:] + [None] * cap
-            self._lo = [_NEG_INF] * (4 * cap)
-            self._hi = [_POS_INF] * (4 * cap)
+            self._nodes = [_EMPTY] * (2 * cap) + self._nodes[cap:] + [_EMPTY] * cap
             self._cap = 2 * cap
             self._rival = None
             self._replay(range(2 * cap - 1, 0, -1))
@@ -213,31 +242,62 @@ class LowerEnvelope:
     def _refresh(self, leaf: int) -> None:
         """Drop deleted entries from the top of the leaf's heap and offer
         its minimum."""
-        heap, where, node = self._heaps[leaf], self._where, self._cap + leaf
-        if heap and self._win[node] is heap[0]:
+        heap, where, nodes = self._heaps[leaf], self._where, self._nodes
+        node = self._cap + leaf
+        if heap and nodes[node][2] is heap[0]:
             return  # refreshed since the last change
         while heap and where.get(heap[0][1]) is not heap[0]:
             heappop(heap)
-        self._win[node] = heap[0] if heap else None
+        nodes[node] = (_NEG_INF, _POS_INF, heap[0] if heap else None)
 
     def _settle(self, leaf: int) -> None:
         """Refresh the leaf, then replay its path to the root."""
         self._refresh(leaf)
         if self._rival is not None and self._rival[0] != leaf:
             self._rival = None
-        node = self._cap + leaf
-        self._replay([node >> i for i in range(1, self._cap.bit_length())])
+        # _replay's step, inlined because paths are most of an LPT step's
+        # replays: walk k >>= 1 and carry the node just computed up as one
+        # child. Which child is which changes no result, as no two leaves
+        # share a slope.
+        nodes, x = self._nodes, self._x
+        k = self._cap + leaf
+        lo, hi, a = nodes[k]
+        comparisons = 0
+        while k > 1:
+            slo, shi, b = nodes[k ^ 1]
+            k >>= 1
+            if slo > lo:
+                lo = slo
+            if shi < hi:
+                hi = shi
+            if a is None:
+                a = b
+            elif b is not None:
+                comparisons += 1
+                if a[2] < b[2]:
+                    a, b = b, a  # a is the steeper line
+                cross = (b[0] - a[0]) / (a[2] - b[2])
+                if x < cross:
+                    if cross < hi:
+                        hi = cross
+                else:
+                    a = b
+                    if cross > lo:
+                        lo = cross
+            nodes[k] = (lo, hi, a)
+        counters = self.counters
+        counters["replays"] += self._cap.bit_length() - 1
+        counters["comparisons"] += comparisons
 
     def _find_rival(self, leaf: int) -> None:
         """Fold the winners beside the leaf's path into its rival at the
         current x; every node is valid there."""
-        win, lo, hi, x = self._win, self._lo, self._hi, self._x
+        nodes, x = self._nodes, self._x
         rival, rlo, rhi = None, _NEG_INF, _POS_INF
         node = self._cap + leaf
         while node > 1:
-            side = node ^ 1
-            rlo, rhi = max(rlo, lo[side]), min(rhi, hi[side])
-            line = win[side]
+            slo, shi, line = nodes[node ^ 1]
+            rlo, rhi = max(rlo, slo), min(rhi, shi)
             if rival is None:
                 rival = line
             elif line is not None:
@@ -247,47 +307,43 @@ class LowerEnvelope:
             node >>= 1
         self._rival = (leaf, rival, rlo, rhi)
 
-    def _replay(self, nodes) -> None:
+    def _replay(self, order) -> None:
         """Recompute each node from its children at the current x, in order.
         A node's interval is its own comparison's, cut to both children's."""
-        win, lo, hi, x = self._win, self._lo, self._hi, self._x
+        nodes, x = self._nodes, self._x
         comparisons = 0
-        for k in nodes:
-            left = 2 * k
-            klo, other = lo[left], lo[left + 1]
+        for k in order:
+            klo, khi, a = nodes[2 * k]
+            other, ohi, b = nodes[2 * k + 1]
             if other > klo:
                 klo = other
-            khi, other = hi[left], hi[left + 1]
-            if other < khi:
-                khi = other
-            a, b = win[left], win[left + 1]
+            if ohi < khi:
+                khi = ohi
             if a is None:
-                win[k] = b
-            elif b is None:
-                win[k] = a
-            else:
+                a = b
+            elif b is not None:
                 comparisons += 1
                 if a[2] < b[2]:
                     a, b = b, a  # a is the steeper line
                 cross = (b[0] - a[0]) / (a[2] - b[2])
                 if x < cross:
-                    win[k] = a
                     if cross < khi:
                         khi = cross
                 else:
-                    win[k] = b
+                    a = b
                     if cross > klo:
                         klo = cross
-            lo[k], hi[k] = klo, khi
-        self.counters["replays"] += len(nodes)
-        self.counters["comparisons"] += comparisons
+            nodes[k] = (klo, khi, a)
+        counters = self.counters
+        counters["replays"] += len(order)
+        counters["comparisons"] += comparisons
 
     # -- envelope pieces and debug -------------------------------------------
 
     def _hull_chain(self) -> list:
         """Bucket minima on the envelope, steepest first (Graham chain over
         the strict lower hull of the dual points)."""
-        pts = sorted((Line(e[2], e[0], e[1]) for e in self._win[self._cap:]
+        pts = sorted((Line(e[2], e[0], e[1]) for _, _, e in self._nodes[self._cap:]
                       if e is not None), reverse=True)  # distinct slopes
         chain = []
         for p in pts:
@@ -302,7 +358,8 @@ class LowerEnvelope:
         rational mode). Test hook, not hot path."""
         if self._dirty is not None:
             self._flush()
-        cap, x, win = self._cap, self._x, self._win
+        cap, x = self._cap, self._x
+        win = [e for _, _, e in self._nodes]
         buckets = {}
         for e in self._where.values():
             assert self._leaf_of[e[2]] == e[3]
@@ -318,7 +375,8 @@ class LowerEnvelope:
             entries = [e for e in win[first:last] if e is not None]
             want = min(entries, key=lambda e: (e[2] * x + e[0], e[2]), default=None)
             assert win[k] is want, f"node {k} at x={x}: {win[k]} != {want}"
-            assert self._lo[k] <= x < self._hi[k], f"node {k} certificate excludes x"
+            lo, hi, _ = self._nodes[k]
+            assert lo <= x < hi, f"node {k} certificate excludes x"
         if self._rival is not None:
             leaf, line, rlo, rhi = self._rival
             others = [e for i, e in enumerate(win[cap:]) if i != leaf and e is not None]

@@ -100,7 +100,3 @@ def scalar_to_str(x: Scalar) -> str:
     if isinstance(x, float) or not isinstance(x, Fraction):
         return repr(x)
     return str(x)
-
-
-def as_float(x: Scalar) -> float:
-    return float(x)

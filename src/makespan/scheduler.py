@@ -121,11 +121,11 @@ def _envelope_lpt(instance: Instance, admission_order: list, name: str,
 
     Machines enter the envelope in ``admission_order`` as soon as their
     battery covers the current job; since jobs shrink monotonically, the
-    admission pointer only advances. Each job is placed by one envelope
-    query, then the winner's line is replaced with its raised load-time.
-    Query points are the job lengths, so they only shrink: the query
-    replays the tournament nodes that shrinking invalidated, and the
-    delete/insert pair costs at most one leaf-to-root path replay.
+    admission pointer only advances. Each job is placed by one
+    ``raise_min`` at its length, which picks the machine and raises its
+    line to the new finish time. Query points only shrink, so each step
+    replays the tournament nodes that shrinking invalidated plus at most one
+    leaf-to-root path.
     """
     m, speeds, lengths = instance.m, instance.speeds, instance.lengths
     batteries = instance.batteries
@@ -134,6 +134,7 @@ def _envelope_lpt(instance: Instance, admission_order: list, name: str,
     assignment = [[] for _ in range(m)]
     trace = LptTrace(algorithm=name)
     env = LowerEnvelope()
+    raise_min = env.raise_min
     ptr = 0
     for i in _job_order(instance):
         l = lengths[i]
@@ -144,12 +145,10 @@ def _envelope_lpt(instance: Instance, admission_order: list, name: str,
                 break
             env.insert(Line(inv[j], T[j], j))
             ptr += 1
-        if len(env) == 0:
+        if ptr == 0:
             raise InfeasibleError(
                 f"no admitted machine can carry job {i} (length {scalar_to_str(l)})")
-        j, after = env.query_min(l)
-        env.delete(j)
-        env.insert(Line(inv[j], after, j))
+        j, after = raise_min(l)
         if record_trace:
             trace.job_ids.append(i)
             trace.machine_ids.append(j)
@@ -164,8 +163,8 @@ def _envelope_lpt(instance: Instance, admission_order: list, name: str,
 def lpt_fast(instance: Instance, record_trace: bool = True) -> LptTrace:
     """Envelope-based LPT for uniform machines.
 
-    One line per machine, h_j(x) = x/v_j + T_j; each job costs one envelope
-    query plus a delete/insert pair. The counters report the tournament's
+    One line per machine, h_j(x) = x/v_j + T_j; each job costs one
+    ``LowerEnvelope.raise_min`` call. The counters report the tournament's
     node replays: tests/test_envelope.py holds them under 1.5x the tree depth
     per job on distinct-speed instances with m = 100 and 800. In rational
     mode the assignment is identical to lpt_naive decision for decision.

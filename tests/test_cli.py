@@ -85,6 +85,31 @@ def test_parse_zero_length_job_rejected():
         parse_instance_text("USP 1 1\n1\n0\n", Mode.RATIONAL)
 
 
+@pytest.mark.parametrize("text,mode,line,col,message", [
+    ("USP 2 1\n1\n2.5x\n5\n", Mode.F64, 3, 1, "bad speed '2.5x'"),
+    ("DWP 2 1\n2 50\n3 five\n5\n", Mode.RATIONAL, 3, 3, "bad battery 'five'"),
+    ("USP 1 3\n# c\n1\n5\n4\n\n-0.5\n", Mode.F64, 7, 1, "length must be > 0, got -0.5"),
+    ("USP 1 3\n1\n5\n4\n0\n", Mode.RATIONAL, 5, 1, "length must be > 0, got 0"),
+    ("USP 1 2\n1\n3\n inf\n", Mode.F64, 4, 2, "bad length 'inf'"),
+    ("DWP 1 1\n2 inf\n5\n", Mode.F64, 2, 3, "bad battery 'inf'"),
+    ("USP 1 1\n1\n3 / 4\n", Mode.RATIONAL, 3, 1, "job line must be a single length"),
+])
+def test_parse_diagnostics_pin_line_column_message(text, mode, line, col, message):
+    # a block that fails its one-pass conversion is scanned again value by
+    # value, so the diagnostic names the first defect as it always did
+    with pytest.raises(ParseError) as err:
+        parse_instance_text(text, mode)
+    assert (err.value.line, err.value.column) == (line, col)
+    assert str(err.value) == f"line {line}, col {col}: {message}"
+
+
+def test_parse_f64_accepts_ratio_tokens():
+    inst = parse_instance_text("DWP 2 2\n3/4 2\n2 9/2\n 7/2 \n1\n", Mode.F64)
+    assert inst.speeds == (0.75, 2.0)
+    assert inst.batteries == (2.0, 4.5)
+    assert inst.lengths == (3.5, 1.0)
+
+
 # -- schedule ------------------------------------------------------------------
 
 def test_schedule_dwp_rational(dwp_file, capsys):

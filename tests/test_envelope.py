@@ -310,3 +310,70 @@ def test_same_slope_runs_with_side_updates_match_oracle():
         if step % 100 == 0:
             env.check_invariants()
     env.check_invariants()
+
+
+@pytest.mark.parametrize("mode", ["f64", "rational"])
+@pytest.mark.parametrize("slopes", [3, 40, 400])
+def test_raise_min_matches_query_delete_insert(mode, slopes):
+    # raise_min must leave the envelope as the query/delete/insert triple
+    # would: same answers and same counters at every step, including while
+    # a leaf is pending, a rival is cached, or machines are still admitted.
+    rng = random.Random(slopes)
+    num = float if mode == "f64" else F
+    lines = [Line(1 / num(rng.randint(1, slopes)), num(0), j) for j in range(60)]
+    fused, split = LowerEnvelope(), LowerEnvelope()
+    for line in lines[:20]:
+        fused.insert(line)
+        split.insert(line)
+    admitted = 20
+    for step in range(600):
+        x = num(1200 - 2 * step) / 7
+        if admitted < len(lines) and step % 9 == 0:
+            fused.insert(lines[admitted])
+            split.insert(lines[admitted])
+            admitted += 1
+        got = fused.raise_min(x)
+        owner, value = split.query_min(x)
+        split.delete(owner)
+        split.insert(Line(lines[owner].slope, value, owner))
+        assert got == (owner, value), step
+        assert fused.counters == split.counters, step
+    assert sorted(fused.lines()) == sorted(split.lines())
+
+
+def test_raise_min_mixed_with_updates_matches_oracle():
+    # LPT steps through raise_min, mixed with inserts (some below the winner
+    # on its own slope) and deletes, checked against the linear scan.
+    rng = random.Random(23)
+    env = LowerEnvelope()
+    slopes = [F(1, 3), F(1, 2), F(1), F(3, 2), F(2)]
+    live = {}
+    nxt = 0
+    for _ in range(30):
+        live[nxt] = rng.choice(slopes)
+        env.insert(Line(live[nxt], F(rng.randint(0, 20)), nxt))
+        nxt += 1
+    x = F(300)
+    for step in range(1500):
+        roll = rng.random()
+        if roll < 0.6:
+            x = max(x - F(rng.randint(0, 3), 5), F(0))
+            want_owner, want_value = linear_scan_min(env, x)
+            assert env.raise_min(x) == (want_owner, want_value), step
+            raised = {line.owner: line.intercept for line in env.lines()}
+            assert raised[want_owner] == want_value
+            if rng.random() < 0.2:  # a lower line joins the winner's slope
+                live[nxt] = live[want_owner]
+                env.insert(Line(live[nxt], F(rng.randint(-20, 0)), nxt))
+                nxt += 1
+        elif roll < 0.8:
+            live[nxt] = rng.choice(slopes)
+            env.insert(Line(live[nxt], F(rng.randint(0, 40)), nxt))
+            nxt += 1
+        elif len(live) > 1:
+            victim = rng.choice(sorted(live))
+            del live[victim]
+            env.delete(victim)
+        if step % 100 == 0:
+            env.check_invariants()
+    env.check_invariants()

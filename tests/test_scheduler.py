@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from fractions import Fraction as F
@@ -256,3 +257,22 @@ def test_decisions_json_renders_fresh_before_values():
         trace.before = [b + 1 for b in trace.before]      # other values
         assert json.dumps(trace.decisions_json()) == json.dumps(per_field_json(trace))
         assert json.dumps(trace.decisions_json()) != expected
+
+
+def test_envelope_counters_pinned():
+    """sha256 over the envelope counters of lpt_fast and dwp_lpt on generated
+    instances, both modes, distinct speeds off and on. The counts repeat per
+    input, and the benchmark cites them as counts, so a change to the
+    tournament that moves any of them must say so here."""
+    digest = hashlib.sha256()
+    for family, run in (("uniform-usp", lpt_fast), ("uniform-dwp", dwp_lpt),
+                        ("equal-speed", lpt_fast)):
+        for mode in (Mode.RATIONAL, Mode.F64):
+            for distinct in (False, True):
+                for seed in range(12):
+                    spec = GenSpec(family=family, n=150 + 50 * seed, m=5 + 3 * seed,
+                                   seed=seed, distinct_speeds=distinct)
+                    counters = run(generate(spec, mode), record_trace=False).counters
+                    digest.update(json.dumps(counters, sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "f29e380c2541cf59a0eea39d4426112be6004b21d9e182b32f47530ba0e96abf")
