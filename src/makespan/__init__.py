@@ -8,22 +8,21 @@ oracle with approximation-ratio verification, and a seeded benchmark harness.
 from .envelope import Line, LowerEnvelope
 from .errors import InfeasibleError, ParseError, SizeGuardError, UsageError
 from .gen_bench import BenchResult, GenSpec, SweepResult, bench_scaling, generate, ratio_sweep, write_instance
-from .model import Instance, Job, Kind, Machine, Schedule, ValidationReport, build_schedule, feasibility_check, makespan, validate
-from .numeric import Mode, Scalar, parse_scalar, scalar_add, scalar_div, scalar_mul, scalar_sub, scalar_to_str
+from .model import Instance, Kind, Schedule, ValidationReport, build_schedule, feasibility_check, makespan, validate
+from .numeric import Mode, Scalar, parse_scalar, scalar_to_str
 from .oracle import PHI, RatioReport, brute_force_opt, le_phi, lt_phi, makespan_lower_bound, phi_bracket, ratio_report, round_r
 from .scheduler import LptTrace, SCHEDULERS, dwp_lpt, lpt_fast, lpt_naive, lpt_restricted, run_scheduler
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BenchResult", "GenSpec", "Instance", "InfeasibleError", "Job", "Kind",
-    "Line", "LowerEnvelope", "LptTrace", "Machine", "Mode", "ParseError",
-    "PHI", "RatioReport", "SCHEDULERS", "Scalar", "Schedule", "SizeGuardError",
-    "SweepResult", "UsageError", "ValidationReport", "bench_scaling",
-    "brute_force_opt", "build_schedule", "dwp_lpt", "feasibility_check",
-    "generate", "le_phi", "lpt_fast", "lpt_naive", "lpt_restricted", "lt_phi",
-    "makespan", "makespan_lower_bound", "parse_scalar", "phi_bracket",
-    "ratio_report", "ratio_sweep", "round_r", "run_scheduler", "scalar_add",
-    "scalar_div", "scalar_mul", "scalar_sub", "scalar_to_str", "validate",
+    "BenchResult", "GenSpec", "Instance", "InfeasibleError", "Kind", "Line",
+    "LowerEnvelope", "LptTrace", "Mode", "ParseError", "PHI", "RatioReport",
+    "SCHEDULERS", "Scalar", "Schedule", "SizeGuardError", "SweepResult",
+    "UsageError", "ValidationReport", "bench_scaling", "brute_force_opt",
+    "build_schedule", "dwp_lpt", "feasibility_check", "generate", "le_phi",
+    "lpt_fast", "lpt_naive", "lpt_restricted", "lt_phi", "makespan",
+    "makespan_lower_bound", "parse_scalar", "phi_bracket", "ratio_report",
+    "ratio_sweep", "round_r", "run_scheduler", "scalar_to_str", "validate",
     "write_instance",
 ]

@@ -203,23 +203,18 @@ def cmd_schedule(args) -> int:
         instance = parse_instance_text(handle.read(), mode)
 
     if args.algo == "opt":
-        schedule = brute_force_opt(instance)
-        payload = {
-            "algorithm": "opt",
-            "numeric": mode.value,
-            "makespan": scalar_to_str(schedule.makespan),
-            "assignment": [list(a) for a in schedule.assignment],
-        }
+        trace, schedule = None, brute_force_opt(instance)
     else:
         trace = run_scheduler(args.algo, instance, record_trace=True)
-        payload = {
-            "algorithm": args.algo,
-            "numeric": mode.value,
-            "makespan": scalar_to_str(trace.schedule.makespan),
-            "assignment": [list(a) for a in trace.schedule.assignment],
-        }
-        if args.trace:
-            payload["trace"] = trace.decisions_json()
+        schedule = trace.schedule
+    payload = {
+        "algorithm": args.algo,
+        "numeric": mode.value,
+        "makespan": scalar_to_str(schedule.makespan),
+        "assignment": [list(a) for a in schedule.assignment],
+    }
+    if trace is not None and args.trace:
+        payload["trace"] = trace.decisions_json()
     print(json.dumps(payload))
     return EXIT_OK
 

@@ -20,30 +20,13 @@ from operator import truediv
 from typing import Optional, Sequence
 
 from .errors import UsageError
-from .numeric import Mode, Scalar, mode_of, scalar_to_str
+from .numeric import Scalar, scalar_to_str
 
 
 class Kind(enum.Enum):
     USP = "USP"
     DWP = "DWP"
     RESTRICTED = "RESTRICTED"
-
-
-@dataclass(frozen=True)
-class Machine:
-    """One machine/drone: positive speed, optional battery range (None = unbounded)."""
-
-    id: int
-    speed: Scalar
-    battery: Optional[Scalar] = None
-
-
-@dataclass(frozen=True)
-class Job:
-    """One job/parcel: positive length (round-trip distance or processing size)."""
-
-    id: int
-    length: Scalar
 
 
 def _check_scalars(values: tuple, scalar: type, what: str, optional: bool = False) -> None:
@@ -107,22 +90,6 @@ class Instance:
     def n(self) -> int:
         return len(self.lengths)
 
-    @property
-    def mode(self) -> Mode:
-        return mode_of(self.speeds[0])
-
-    def machine(self, j: int) -> Machine:
-        return Machine(j, self.speeds[j], self.batteries[j])
-
-    def job(self, i: int) -> Job:
-        return Job(i, self.lengths[i])
-
-    def machines(self):
-        return [self.machine(j) for j in range(self.m)]
-
-    def jobs(self):
-        return [self.job(i) for i in range(self.n)]
-
     def eligible_machines(self, i: int):
         """Machine ids allowed for job i, in ascending id order."""
         if self.kind is Kind.RESTRICTED:
@@ -132,23 +99,6 @@ class Instance:
             return [j for j in range(self.m)
                     if self.batteries[j] is None or self.batteries[j] >= l]
         return list(range(self.m))
-
-    @classmethod
-    def from_machines_jobs(cls, kind, machines: Sequence[Machine], jobs: Sequence[Job],
-                           eligibility=None) -> "Instance":
-        machines = sorted(machines, key=lambda mc: mc.id)
-        jobs = sorted(jobs, key=lambda jb: jb.id)
-        if [mc.id for mc in machines] != list(range(len(machines))):
-            raise UsageError("machine ids must be 0..m-1")
-        if [jb.id for jb in jobs] != list(range(len(jobs))):
-            raise UsageError("job ids must be 0..n-1")
-        return cls(
-            kind=kind,
-            speeds=tuple(mc.speed for mc in machines),
-            batteries=tuple(mc.battery for mc in machines),
-            lengths=tuple(jb.length for jb in jobs),
-            eligibility=None if eligibility is None else tuple(frozenset(e) for e in eligibility),
-        )
 
 
 @dataclass(frozen=True)

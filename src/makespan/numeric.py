@@ -30,45 +30,6 @@ class Mode(enum.Enum):
         raise UsageError(f"unknown numeric mode {name!r} (expected 'f64' or 'rational')")
 
 
-def mode_of(x: Scalar) -> Mode:
-    if isinstance(x, Fraction):
-        return Mode.RATIONAL
-    if isinstance(x, float):
-        return Mode.F64
-    raise UsageError(f"not a Scalar: {x!r} ({type(x).__name__})")
-
-
-def _check_same_mode(a: Scalar, b: Scalar) -> None:
-    if mode_of(a) is not mode_of(b):
-        raise UsageError(
-            f"mixed-mode arithmetic: {type(a).__name__} with {type(b).__name__}"
-        )
-
-
-def scalar_add(a: Scalar, b: Scalar) -> Scalar:
-    """Exact sum in rational mode, IEEE round-to-nearest in float mode."""
-    _check_same_mode(a, b)
-    return a + b
-
-
-def scalar_sub(a: Scalar, b: Scalar) -> Scalar:
-    _check_same_mode(a, b)
-    return a - b
-
-
-def scalar_mul(a: Scalar, b: Scalar) -> Scalar:
-    _check_same_mode(a, b)
-    return a * b
-
-
-def scalar_div(a: Scalar, b: Scalar) -> Scalar:
-    """Exact quotient in rational mode. b must be nonzero."""
-    _check_same_mode(a, b)
-    if b == 0:
-        raise ZeroDivisionError("scalar division by zero")
-    return a / b
-
-
 def parse_scalar(text: str, mode: Mode) -> Scalar:
     """Parse a decimal string (or 'p/q') into a Scalar of the given mode.
 

@@ -1,12 +1,14 @@
-"""The LPT variants: naive scan, envelope-based fast path, restricted
-eligibility, and the battery-aware pointer sweep for drone instances.
+"""The LPT variants, in two loops.
 
 Every variant assigns jobs in non-increasing length order (ties by ascending
 job id) to the machine minimizing the resulting finish time, with one shared
 tie rule: least finish value, then greatest speed, then least machine id.
-The fast path and the drone path share a single loop over the kinetic
-tournament of ``envelope.LowerEnvelope``, parameterized by the machine
-admission stream; the fast path simply admits every machine up front.
+
+* ``_scan_lpt`` is the O(mn) scan of ``lpt-naive`` (every machine is a
+  candidate) and ``lpt-restricted`` (the job's eligibility set);
+* ``_envelope_lpt`` is one ``raise_min`` per job on the kinetic tournament of
+  ``envelope.LowerEnvelope``, for ``lpt-fast`` (every machine admitted up
+  front) and ``dwp-lpt`` (drones admitted by a battery pointer sweep).
 """
 
 from __future__ import annotations
@@ -73,7 +75,42 @@ def _zero(instance: Instance) -> Scalar:
     return instance.lengths[0] - instance.lengths[0]
 
 
-def _finalize(trace: LptTrace, instance: Instance, assignment) -> LptTrace:
+def _fastest_first(speeds: tuple, machines) -> list:
+    """Machine ids by non-increasing speed, ties in ascending id order."""
+    return sorted(machines, key=lambda j: (-speeds[j], j))
+
+
+def _scan_lpt(instance: Instance, name: str, candidates, record_trace: bool) -> LptTrace:
+    """The O(mn) scan shared by lpt-naive and lpt-restricted.
+
+    ``candidates[i]`` lists the machines job i may go to, fastest first (ties
+    by ascending id); the job takes the first one with the strictly least
+    finish value T + l/v, which is the shared tie rule in both numeric modes.
+    """
+    lengths = instance.lengths
+    inv = [1 / v for v in instance.speeds]
+    T = [_zero(instance)] * instance.m
+    assignment = [[] for _ in range(instance.m)]
+    trace = LptTrace(algorithm=name)
+    scans = 0
+    for i in _job_order(instance):
+        l = lengths[i]
+        machines = candidates[i]
+        best = machines[0]
+        bval = T[best] + l * inv[best]
+        for j in machines:
+            val = T[j] + l * inv[j]
+            if val < bval:
+                best, bval = j, val
+        scans += len(machines)
+        if record_trace:
+            trace.job_ids.append(i)
+            trace.machine_ids.append(best)
+            trace.before.append(T[best])
+            trace.after.append(bval)
+        T[best] = bval
+        assignment[best].append(i)
+    trace.counters = {"machine_scans": scans}
     trace.schedule = build_schedule(instance, assignment)
     return trace
 
@@ -81,38 +118,13 @@ def _finalize(trace: LptTrace, instance: Instance, assignment) -> LptTrace:
 def lpt_naive(instance: Instance, record_trace: bool = True) -> LptTrace:
     """Textbook LPT for uniform machines: scan all m machines per job, O(mn).
 
-    One code path for both numeric modes; this is the quadratic-ish baseline
-    the envelope implementation is benchmarked against.
+    One code path for both numeric modes; this is the baseline the envelope
+    implementation is benchmarked against.
     """
     if instance.kind is not Kind.USP:
         raise UsageError("lpt_naive expects a USP instance")
-    m, speeds, lengths = instance.m, instance.speeds, instance.lengths
-    # Scanning machines in (speed desc, id asc) order lets a plain strict
-    # compare implement the canonical tie rule.
-    perm = sorted(range(m), key=lambda j: (-speeds[j], j))
-    inv = [1 / speeds[j] for j in perm]
-    T = [_zero(instance)] * m
-    assignment = [[] for _ in range(m)]
-    trace = LptTrace(algorithm="lpt-naive")
-    scans = 0
-    for i in _job_order(instance):
-        l = lengths[i]
-        best, bval = 0, T[0] + l * inv[0]
-        for k in range(1, m):
-            val = T[k] + l * inv[k]
-            if val < bval:
-                best, bval = k, val
-        scans += m
-        j = perm[best]
-        if record_trace:
-            trace.job_ids.append(i)
-            trace.machine_ids.append(j)
-            trace.before.append(T[best])
-            trace.after.append(bval)
-        T[best] = bval
-        assignment[j].append(i)
-    trace.counters = {"machine_scans": scans}
-    return _finalize(trace, instance, assignment)
+    machines = _fastest_first(instance.speeds, range(instance.m))
+    return _scan_lpt(instance, "lpt-naive", [machines] * instance.n, record_trace)
 
 
 def _envelope_lpt(instance: Instance, admission_order: list, name: str,
@@ -157,7 +169,8 @@ def _envelope_lpt(instance: Instance, admission_order: list, name: str,
         T[j] = after
         assignment[j].append(i)
     trace.counters = dict(env.counters)
-    return _finalize(trace, instance, assignment)
+    trace.schedule = build_schedule(instance, assignment)
+    return trace
 
 
 def lpt_fast(instance: Instance, record_trace: bool = True) -> LptTrace:
@@ -166,7 +179,7 @@ def lpt_fast(instance: Instance, record_trace: bool = True) -> LptTrace:
     One line per machine, h_j(x) = x/v_j + T_j; each job costs one
     ``LowerEnvelope.raise_min`` call. The counters report the tournament's
     node replays: tests/test_envelope.py holds them under 1.5x the tree depth
-    per job on distinct-speed instances with m = 100 and 800. In rational
+    per job for m = 100 to 4000, with distinct or shared speeds. In rational
     mode the assignment is identical to lpt_naive decision for decision.
     """
     if instance.kind is not Kind.USP:
@@ -194,31 +207,8 @@ def lpt_restricted(instance: Instance, record_trace: bool = True) -> LptTrace:
         raise UsageError("lpt_restricted expects a RESTRICTED instance")
     if not feasibility_check(instance):
         raise InfeasibleError("a job has no eligible machine")
-
-    speeds, lengths = instance.speeds, instance.lengths
-    inv = [1 / v for v in speeds]
-    T = [_zero(instance)] * instance.m
-    assignment = [[] for _ in range(instance.m)]
-    trace = LptTrace(algorithm="lpt-restricted")
-    scans = 0
-    for i in _job_order(instance):
-        l = lengths[i]
-        best = None
-        bval = bspeed = None
-        for j in sorted(instance.eligibility[i]):
-            val = T[j] + l * inv[j]
-            if best is None or val < bval or (val == bval and speeds[j] > bspeed):
-                best, bval, bspeed = j, val, speeds[j]
-            scans += 1
-        if record_trace:
-            trace.job_ids.append(i)
-            trace.machine_ids.append(best)
-            trace.before.append(T[best])
-            trace.after.append(bval)
-        T[best] = bval
-        assignment[best].append(i)
-    trace.counters = {"machine_scans": scans}
-    return _finalize(trace, instance, assignment)
+    candidates = [_fastest_first(instance.speeds, e) for e in instance.eligibility]
+    return _scan_lpt(instance, "lpt-restricted", candidates, record_trace)
 
 
 SCHEDULERS = {

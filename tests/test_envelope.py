@@ -6,8 +6,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from makespan import (GenSpec, Line, LowerEnvelope, Mode, UsageError, generate,
-                      lpt_fast)
+from makespan import (GenSpec, Line, LowerEnvelope, Mode, UsageError, dwp_lpt,
+                      generate, lpt_fast)
 
 from conftest import linear_scan_min
 
@@ -260,16 +260,32 @@ def test_counters_track_api_calls():
     assert env.counters["comparisons"] > 0
 
 
-@pytest.mark.parametrize("m", [100, 800])
+def replays_per_level(scheduler, spec):
+    """Tournament node replays per job, divided by the tree depth."""
+    inst = generate(spec, Mode.F64)
+    depth = math.ceil(math.log2(len(set(inst.speeds))))
+    return scheduler(inst, record_trace=False).counters["replays"] / inst.n / depth
+
+
+DISTINCT = dict(grid=10 ** 4, speed_range=(F(1), F(100)), distinct_speeds=True)
+
+
+@pytest.mark.parametrize("m", [100, 800, 2000, 4000])
 def test_lpt_distinct_speeds_one_path_replay_per_job(m):
     # LPT's delete-then-reinsert of one slope must cost one path replay, so
     # node replays per job stay near the tree depth, not twice it.
-    spec = GenSpec(family="uniform-usp", n=10 * m, m=m, grid=10 ** 4,
-                   speed_range=(F(1), F(100)), distinct_speeds=True, seed=m)
-    inst = generate(spec, Mode.F64)
-    depth = math.ceil(math.log2(len(set(inst.speeds))))
-    replays = lpt_fast(inst, record_trace=False).counters["replays"]
-    assert replays / inst.n <= 1.5 * depth, (replays / inst.n, depth)
+    spec = GenSpec(family="uniform-usp", n=10 * m, m=m, seed=m, **DISTINCT)
+    assert replays_per_level(lpt_fast, spec) <= 1.5
+
+
+@pytest.mark.parametrize("m", [100, 800, 2000, 4000])
+@pytest.mark.parametrize("scheduler, family, options", [
+    (dwp_lpt, "uniform-dwp", DISTINCT),
+    (lpt_fast, "uniform-usp", {}),  # speeds 1..4 on a 1/100 grid: 301 shared slopes
+], ids=["dwp-distinct", "usp-shared"])
+def test_lpt_replays_within_depth(scheduler, family, options, m):
+    spec = GenSpec(family=family, n=10 * m, m=m, seed=m, **options)
+    assert replays_per_level(scheduler, spec) <= 1.5
 
 
 def test_same_slope_runs_with_side_updates_match_oracle():

@@ -80,7 +80,9 @@ def test_makespan_rejects_invalid():
 def test_feasibility_examples():
     assert feasibility_check(dwp([(F(1), F(10)), (F(1), F(4))], [F(6), F(4), F(4)]))
     assert not feasibility_check(dwp([(F(1), F(5))], [F(6)]))
-    assert feasibility_check(usp([F(1)], [F(100)]))
+    single = usp([F(1)], [F(100)])
+    assert single.m == 1 and single.n == 1
+    assert feasibility_check(single)
     assert feasibility_check(restricted([F(1)], [(F(5), {0})]))
 
 
@@ -137,21 +139,6 @@ def test_build_schedule_rejects_unknown_job_ids():
                             ([[-1], [0, 1]], "machine 0: unknown job id -1")):
         with pytest.raises(UsageError, match=bad):
             build_schedule(inst, assignment)
-
-
-def test_machine_job_accessors():
-    inst = dwp([(F(1), F(10))], [F(6)])
-    assert inst.machine(0).speed == F(1) and inst.machine(0).battery == F(10)
-    assert inst.job(0).length == F(6)
-    assert inst.m == 1 and inst.n == 1
-
-
-def test_from_machines_jobs_round_trip():
-    from makespan import Job, Machine
-    machines = [Machine(0, F(2), None), Machine(1, F(3), None)]
-    jobs = [Job(0, F(5)), Job(1, F(1))]
-    inst = Instance.from_machines_jobs(Kind.USP, machines, jobs)
-    assert inst.speeds == (F(2), F(3)) and inst.lengths == (F(5), F(1))
 
 
 def test_loads_round_trip_random_schedules():

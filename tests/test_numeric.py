@@ -3,58 +3,48 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from makespan import Mode, UsageError, parse_scalar, scalar_add, scalar_div, scalar_mul, scalar_sub, scalar_to_str
-from makespan.numeric import mode_of
+from makespan import Mode, UsageError, parse_scalar, scalar_to_str
 
 rationals = st.fractions(
     min_value=Fraction(-1000), max_value=Fraction(1000), max_denominator=1000)
 
 
+# Rational-mode values are Fractions and float-mode values are floats, so the
+# schedulers' plain +, -, *, / are exact in the one and IEEE in the other.
+
+def R(text):
+    return parse_scalar(text, Mode.RATIONAL)
+
+
 def test_add_exact_rational():
-    assert scalar_add(Fraction(1, 3), Fraction(1, 6)) == Fraction(1, 2)
+    assert R("1/3") + R("1/6") == Fraction(1, 2)
 
 
 def test_add_identity():
-    x = Fraction(7, 11)
-    assert scalar_add(x, Fraction(0)) == x
+    assert R("7/11") + R("0") == R("7/11")
 
 
 def test_add_float_ieee():
     # float mode keeps IEEE semantics: 0.1 + 0.2 is the nearest double to 0.3
-    assert scalar_add(0.1, 0.2) == 0.30000000000000004
+    assert parse_scalar("0.1", Mode.F64) + parse_scalar("0.2", Mode.F64) == 0.30000000000000004
 
 
 def test_div_exact():
-    assert scalar_div(Fraction(10), Fraction(4)) == Fraction(5, 2)
+    assert R("10") / R("4") == Fraction(5, 2)
 
 
 def test_div_identity():
-    x = Fraction(-9, 7)
-    assert scalar_div(x, Fraction(1)) == x
+    assert R("-9/7") / R("1") == Fraction(-9, 7)
 
 
 def test_div_epsilon_example():
-    eps = Fraction(1, 10)
-    assert scalar_div(Fraction(10) + eps, Fraction(10)) == Fraction(101, 100)
+    assert (R("10") + R("0.1")) / R("10") == Fraction(101, 100)
 
 
 def test_div_by_zero():
-    with pytest.raises(ZeroDivisionError):
-        scalar_div(Fraction(1), Fraction(0))
-    with pytest.raises(ZeroDivisionError):
-        scalar_div(1.0, 0.0)
-
-
-def test_mode_mismatch_rejected():
-    with pytest.raises(UsageError):
-        scalar_add(Fraction(1), 1.0)
-    with pytest.raises(UsageError):
-        scalar_mul(0.5, Fraction(1, 2))
-
-
-def test_mode_of_rejects_other_types():
-    with pytest.raises(UsageError):
-        mode_of(3)  # plain ints are not Scalars
+    for mode in Mode:
+        with pytest.raises(UsageError):
+            parse_scalar("1/0", mode)
 
 
 def test_parse_decimal_exact():
@@ -86,14 +76,14 @@ def test_to_str_round_trip():
        c=st.integers(-10**6, 10**6), d=st.integers(1, 10**4))
 def test_rational_add_matches_integer_arithmetic(a, b, c, d):
     # independent cross-multiplied oracle for exactness
-    got = scalar_add(Fraction(a, b), Fraction(c, d))
+    got = R(f"{a}/{b}") + R(f"{c}/{d}")
     assert got == Fraction(a * d + c * b, b * d)
 
 
 @given(a=st.integers(-10**6, 10**6), b=st.integers(1, 10**4),
        c=st.integers(-10**6, 10**6), d=st.integers(1, 10**4))
 def test_rational_mul_matches_integer_arithmetic(a, b, c, d):
-    assert scalar_mul(Fraction(a, b), Fraction(c, d)) == Fraction(a * c, b * d)
+    assert R(f"{a}/{b}") * R(f"{c}/{d}") == Fraction(a * c, b * d)
 
 
 @given(x=rationals, y=rationals, z=rationals)
@@ -106,9 +96,10 @@ def test_ordering_transitive_antisymmetric(x, y, z):
 
 @given(x=rationals, y=rationals)
 def test_sub_div_consistency(x, y):
-    assert scalar_sub(x, y) == x + (-y)
+    x, y = R(scalar_to_str(x)), R(scalar_to_str(y))
+    assert x - y == x + (-y)
     if y != 0:
-        assert scalar_mul(scalar_div(x, y), y) == x
+        assert x / y * y == x
 
 
 def test_parse_float_mode_rejects_non_finite():

@@ -127,6 +127,26 @@ def test_restricted_all_eligible_reduces_to_naive():
         assert decisions(lpt_restricted(rin)) == decisions(lpt_naive(uin))
 
 
+def test_restricted_partial_eligibility_follows_tie_rule():
+    # equal speeds and values that tie across speeds: each step must take
+    # the eligible machine of least (finish value, -speed, id)
+    rng = random.Random(8)
+    for _ in range(200):
+        m = rng.randint(2, 6)
+        n = rng.randint(1, 12)
+        speeds = [rng.choice([F(1), F(2), F(2), F(4)]) for _ in range(m)]
+        jobs = [(F(rng.choice([1, 2, 4])), set(rng.sample(range(m), rng.randint(1, m))))
+                for _ in range(n)]
+        trace = lpt_restricted(restricted(speeds, jobs))
+        T = [F(0)] * m
+        for d in trace.decisions():
+            l, elig = jobs[d.job]
+            j = min(elig, key=lambda j: (T[j] + l / speeds[j], -speeds[j], j))
+            assert (d.machine, d.before, d.after) == (j, T[j], T[j] + l / speeds[j])
+            T[j] = d.after
+        assert trace.counters["machine_scans"] == sum(len(e) for _, e in jobs)
+
+
 def test_restricted_forced_assignment():
     inst = restricted([F(1), F(5)], [(F(4), {0}), (F(9), {0})])
     trace = lpt_restricted(inst)
