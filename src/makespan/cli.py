@@ -161,12 +161,14 @@ def _parse_sizes(text: str):
     for part in text.split(","):
         try:
             n_text, m_text = part.split(":")
-            n, m = int(float(n_text)), int(float(m_text))
+            n, m = float(n_text), float(m_text)
         except ValueError:
             raise UsageError(f"bad size {part!r}, expected 'n:m'")
+        if not (n.is_integer() and m.is_integer()):  # also rejects inf and nan
+            raise UsageError(f"sizes must be finite integers, got {part!r}")
         if n < 1 or m < 1:
             raise UsageError(f"sizes must be >= 1, got {part!r}")
-        sizes.append((n, m))
+        sizes.append((int(n), int(m)))
     if not sizes:
         raise UsageError("no sizes given")
     return sizes

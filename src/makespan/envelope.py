@@ -1,5 +1,5 @@
-"""Dynamic minimum of lines under a moving query point: insert, delete,
-point-minimum query, and the fused LPT step raise_min.
+"""Dynamic minimum of lines under a moving query point: batched insert,
+delete, point-minimum query, and the fused LPT step raise_min.
 
 Lines are y = slope*x + intercept, one per owner id. query_min(x) returns the
 stored line minimizing its value at x under the canonical tie rule: least
@@ -16,29 +16,35 @@ structures for mobile data", J. Algorithms 31, 1999) over per-slope buckets:
   which that comparison and every comparison below it still hold. Two lines
   of different slopes cross once: the steeper one wins iff x is left of the
   crossing, which also settles ties (at equal value the lesser slope wins);
-* a query at a new x replays only the nodes whose interval excludes x; an
-  update replays the path of its slope at the current x, walking up from the
-  leaf. Deleting a bucket minimum leaves that replay pending, and inserts on
-  the same slope keep it pending, until a query or an update of another
-  slope. raise_min replaces the winner in its bucket's heap and leaves the
-  same pending replay as that delete and reinsert, so an LPT step is one
-  call and costs at most one path replay;
+* the leaf row is sized once per batch: the first batch gets exactly one
+  leaf per slope, and a later batch that brings more slopes than the row
+  holds doubles it until they fit, then replays every node once. Leaves are
+  never freed. Any row size C makes a binary tree in the heap layout, with
+  every leaf at depth floor(log2 C) or one more;
+* at most one leaf is pending: its minimum changed (a delete or raise_min
+  of its winner) and its path to the root is stale. The next query replays
+  that path at the query's own x, walking up from the leaf; a sibling whose
+  certificate x breaks is repaired first, so no node on the path is
+  replayed twice. With nothing pending a query replays only the nodes whose
+  interval excludes x. An insert batch replays, at the last query point, the
+  union of the paths of the leaves whose minimum it lowered, each up to
+  where it meets the pending path, and leaves the pending leaf pending. An
+  LPT step is one raise_min call and costs one path replay;
 * when one leaf wins three queries in a row, the query caches the leaf's
   rival: the best line beside its path, with the interval on which it stays
   best. While that leaf is pending and no other leaf has changed, a query
   inside the interval compares the leaf's new minimum with the rival and,
   if it wins, answers without replaying the path.
 
-Updates cost one path, O(log S) node replays for S distinct slopes (leaves are
-never freed; the tree doubles when it fills). A query replays every node whose
-certificate failed, so queries at arbitrary points have no logarithmic bound.
-The LPT pattern (query points that only shrink, one raised line per query)
-has a measured one: tests/test_envelope.py holds node replays per job,
-queries and updates together, under 1.5 per tree level at m = 100 to 4000
-machines and n = 10m jobs. Measured per level: 1.28 to 1.37 for lpt-fast and
-0.84 to 0.95 for dwp-lpt with distinct speeds; 1.23 falling to 0.34 for
-lpt-fast on 301 shared slopes, where buckets fill and the rival check answers
-most queries.
+A query at a new x also replays every node whose certificate failed, so
+queries at arbitrary points have no logarithmic bound. The LPT pattern
+(query points that only shrink, one raised line per query) has a measured
+one: tests/test_envelope.py holds node replays per job, queries and updates
+together, under 1.5 per level of ceil(log2 S) at m = 100 to 4000 machines
+and n = 10m jobs. Measured per level at m = 100, 800, 2000, 4000: 1.08,
+1.14, 1.20, 1.22 for lpt-fast and 0.77, 0.83, 0.85, 0.86 for dwp-lpt with
+distinct speeds; 1.02, 0.82, 0.51, 0.30 for lpt-fast on 301 shared slopes,
+where buckets fill and the rival check answers most queries.
 """
 
 from __future__ import annotations
@@ -70,18 +76,20 @@ class LowerEnvelope:
         self._where = {}         # owner -> entry
         self._leaf_of = {}       # slope -> leaf index
         self._heaps = []         # leaf index -> lazy min-heap of entries
-        self._x = 0              # the point every node's winner is valid at
-        self._dirty = None       # leaf whose path replay is pending
+        self._x = 0              # the point every node off the pending path is valid at
+        self._dirty = None       # pending leaf: its path is replayed by the next query
         # (leaf, line, lo, hi): the best line outside that leaf's subtree,
         # valid for x in [lo, hi) while no other leaf changes.
         self._rival = None
         self._streak = 0         # queries in a row won by the pending leaf
         # Heap-ordered tree: node k has children 2k, 2k+1; leaf i is node
-        # _cap + i. Each node is (lo, hi, winning entry or None); a leaf's
-        # winner is its bucket minimum, or a deleted entry while it is
-        # pending, and its interval is everything.
-        self._cap = 1
-        self._nodes = [_EMPTY, _EMPTY]
+        # _cap + i, and nodes 1.._cap-1 are internal (any _cap >= 1 makes a
+        # binary tree; _cap 0 is the tree without leaves). Each node is
+        # (lo, hi, winning entry or None); a leaf's winner is its bucket
+        # minimum, or a deleted entry while it is pending, and its interval
+        # is everything.
+        self._cap = 0
+        self._nodes = []
         self.counters = {
             "inserts": 0, "deletes": 0, "queries": 0,
             "comparisons": 0, "replays": 0,
@@ -96,25 +104,38 @@ class LowerEnvelope:
         """All stored lines, in no particular order."""
         return [Line(e[2], e[0], e[1]) for e in self._where.values()]
 
-    def insert(self, line: Line) -> None:
-        """Add a line; its owner id must not be present yet."""
-        slope, icept, owner = line
-        if owner in self._where:
-            raise UsageError(f"owner {owner} already has a stored line")
-        self.counters["inserts"] += 1
-        leaf = self._leaf_of.get(slope)
-        dirty = self._dirty
-        if dirty is not None and dirty != leaf:
-            self._flush()
-        if leaf is None:
-            leaf = self._new_leaf(slope)
-        entry = self._where[owner] = (icept, owner, slope, leaf)
-        heappush(self._heaps[leaf], entry)
-        if leaf == dirty:
-            return  # leaf and path stay pending; a query may skip the path
-        best = self._nodes[self._cap + leaf][2]
-        if best is None or entry < best:
-            self._settle(leaf)
+    def insert(self, *lines: Line) -> None:
+        """Add a batch of lines; no owner may be stored already or repeat.
+
+        The batch costs one update: if it brings more slopes than the leaf
+        row holds, the row grows once and every node is replayed; else the
+        union of the paths of the leaves whose minimum it lowered is
+        replayed once, up to the pending leaf's path, which stays pending.
+        """
+        where, leaf_of, heaps = self._where, self._leaf_of, self._heaps
+        seen = set()
+        for line in lines:
+            if line[2] in where or line[2] in seen:
+                raise UsageError(f"owner {line[2]} is stored already or repeats in the batch")
+            seen.add(line[2])
+        self.counters["inserts"] += len(lines)
+        cap, nodes, dirty = self._cap, self._nodes, self._dirty
+        changed = []  # leaves whose minimum the batch lowered
+        for slope, icept, owner in lines:
+            leaf = leaf_of.get(slope)
+            if leaf is None:
+                leaf = leaf_of[slope] = len(heaps)
+                heaps.append([])
+            entry = where[owner] = (icept, owner, slope, leaf)
+            heappush(heaps[leaf], entry)
+            if leaf != dirty and leaf < cap:
+                best = nodes[cap + leaf][2]
+                if best is None or entry < best:
+                    changed.append(leaf)
+        if len(heaps) > cap:
+            self._grow()
+        elif changed:
+            self._replay_paths(changed)
 
     def delete(self, owner: int) -> None:
         """Remove the line with this owner id."""
@@ -128,10 +149,10 @@ class LowerEnvelope:
         heap = self._heaps[leaf]
         if heap[0] is entry:  # else a smaller line arrived while pending
             heappop(heap)
-        dirty = self._dirty
-        if dirty is not None and dirty != leaf:
-            self._flush()
-        self._dirty = leaf
+        if self._dirty is None:
+            self._dirty = leaf
+        elif self._dirty != leaf:
+            self._replay_paths((leaf,))
 
     def query_min(self, x: Scalar):
         """Return (owner, value) of the minimal line at x >= 0, canonical ties."""
@@ -160,7 +181,7 @@ class LowerEnvelope:
     def breakpoints(self):
         """Envelope pieces as (start_x, owner); the first start is None (-inf)."""
         if self._dirty is not None:
-            self._flush()
+            self._refresh(self._dirty)
         chain = self._hull_chain()
         return [(None if i == 0 else _crossing(chain[i - 1], p), p[2])
                 for i, p in enumerate(chain)]
@@ -185,92 +206,56 @@ class LowerEnvelope:
         counters = self.counters
         counters["queries"] += 1
         nodes = self._nodes
-        flushed = self._dirty
-        if flushed is not None:
-            # LPT often picks the same slope again: if the pending leaf's
-            # minimum beats its rival, the stale path need not be replayed.
-            rival = self._rival
-            if rival is not None and rival[0] == flushed and rival[2] <= x < rival[3]:
-                self._refresh(flushed)
-                best = nodes[self._cap + flushed][2]
+        leaf = self._dirty
+        if leaf is None:
+            self._x = x
+            self._streak = 0
+            lo, hi, best = nodes[1]
+            if not lo <= x < hi:
+                self._repair(1)
+                best = nodes[1][2]
+            return best
+        self._refresh(leaf)
+        rival = self._rival
+        if rival is not None:
+            if rival[0] != leaf:
+                self._rival = None  # another leaf's rival: this leaf's change voids it
+            elif rival[2] <= x < rival[3]:
+                # LPT often picks the same slope again: if the pending leaf's
+                # minimum beats its rival, the path need not be replayed.
+                best = nodes[self._cap + leaf][2]
                 if best is not None:
                     counters["comparisons"] += 1
                     if rival[1] is None or _duel(best, rival[1], x)[0] is best:
                         return best
-            self._flush()
+        # Replay the pending path at x, walking up from the leaf and carrying
+        # the node just computed (also stored at nodes[k]) as one child.
+        # Which child is which changes no result, as no two leaves share a
+        # slope. The sibling is valid at the old point; the carried interval
+        # holds x, so only a sibling that cuts it can exclude x, and such a
+        # sibling is repaired before the step is redone. Then every node is
+        # valid at x: each one is on the path or under a sibling.
+        self._dirty = None
         self._x = x
-        lo, hi, best = nodes[1]
-        if not lo <= x < hi:
-            # Collect failed nodes top-down; leaves never fail, and a node
-            # whose interval holds x vouches for its whole subtree.
-            failed, stack = [], [1]
-            while stack:
-                k = stack.pop()
-                lo, hi, _ = nodes[k]
-                if not lo <= x < hi:
-                    failed.append(k)
-                    stack.append(2 * k)
-                    stack.append(2 * k + 1)
-            failed.reverse()  # children before parents
-            self._replay(failed)
-            best = nodes[1][2]
-        if best[3] != flushed:
-            self._streak = 0
-        else:
-            # Wait for a third win in a row: short runs would not repay the
-            # cost of finding the rival.
-            self._streak += 1
-            if self._streak >= 2:
-                self._find_rival(flushed)
-        return best
-
-    def _new_leaf(self, slope) -> int:
-        leaf = self._leaf_of[slope] = len(self._heaps)
-        self._heaps.append([])
-        if leaf == self._cap:
-            # Full: double the leaf row and replay every internal node.
-            cap = self._cap
-            self._nodes = [_EMPTY] * (2 * cap) + self._nodes[cap:] + [_EMPTY] * cap
-            self._cap = 2 * cap
-            self._rival = None
-            self._replay(range(2 * cap - 1, 0, -1))
-        return leaf
-
-    def _flush(self) -> None:
-        leaf, self._dirty = self._dirty, None
-        self._settle(leaf)
-
-    def _refresh(self, leaf: int) -> None:
-        """Drop deleted entries from the top of the leaf's heap and offer
-        its minimum."""
-        heap, where, nodes = self._heaps[leaf], self._where, self._nodes
-        node = self._cap + leaf
-        if heap and nodes[node][2] is heap[0]:
-            return  # refreshed since the last change
-        while heap and where.get(heap[0][1]) is not heap[0]:
-            heappop(heap)
-        nodes[node] = (_NEG_INF, _POS_INF, heap[0] if heap else None)
-
-    def _settle(self, leaf: int) -> None:
-        """Refresh the leaf, then replay its path to the root."""
-        self._refresh(leaf)
-        if self._rival is not None and self._rival[0] != leaf:
-            self._rival = None
-        # _replay's step, inlined because paths are most of an LPT step's
-        # replays: walk k >>= 1 and carry the node just computed up as one
-        # child. Which child is which changes no result, as no two leaves
-        # share a slope.
-        nodes, x = self._nodes, self._x
         k = self._cap + leaf
+        counters["replays"] += k.bit_length() - 1
         lo, hi, a = nodes[k]
         comparisons = 0
         while k > 1:
             slo, shi, b = nodes[k ^ 1]
-            k >>= 1
             if slo > lo:
+                if slo > x:
+                    self._repair(k ^ 1)
+                    lo, hi, a = nodes[k]
+                    continue
                 lo = slo
             if shi < hi:
+                if shi <= x:
+                    self._repair(k ^ 1)
+                    lo, hi, a = nodes[k]
+                    continue
                 hi = shi
+            k >>= 1
             if a is None:
                 a = b
             elif b is not None:
@@ -286,9 +271,77 @@ class LowerEnvelope:
                     if cross > lo:
                         lo = cross
             nodes[k] = (lo, hi, a)
-        counters = self.counters
-        counters["replays"] += self._cap.bit_length() - 1
         counters["comparisons"] += comparisons
+        if a[3] != leaf:
+            self._streak = 0
+        else:
+            # Wait for a third win in a row: short runs would not repay the
+            # cost of finding the rival.
+            self._streak += 1
+            if self._streak >= 2:
+                self._find_rival(leaf)
+        return a
+
+    def _grow(self) -> None:
+        """Give every slope a leaf and replay every internal node at _x. A
+        tree without leaves gets exactly one per slope; a full one doubles
+        its leaf row until all fit."""
+        leaves = len(self._heaps)
+        cap = self._cap or leaves
+        while cap < leaves:
+            cap *= 2
+        self._cap = cap
+        self._nodes = [_EMPTY] * (2 * cap)
+        self._dirty = self._rival = None
+        for leaf in range(leaves):
+            self._refresh(leaf)
+        self._replay(range(cap - 1, 0, -1))
+
+    def _refresh(self, leaf: int) -> None:
+        """Drop deleted entries from the top of the leaf's heap and offer
+        its minimum."""
+        heap, where, nodes = self._heaps[leaf], self._where, self._nodes
+        node = self._cap + leaf
+        if heap and nodes[node][2] is heap[0]:
+            return  # refreshed since the last change
+        while heap and where.get(heap[0][1]) is not heap[0]:
+            heappop(heap)
+        nodes[node] = (_NEG_INF, _POS_INF, heap[0] if heap else None)
+
+    def _replay_paths(self, leaves) -> None:
+        """Refresh these leaves, none of them pending, and replay their paths
+        at _x up to the lowest node each shares with the pending leaf's path:
+        the next query replays that path, at its own point."""
+        cap, dirty = self._cap, self._dirty
+        order = []
+        for leaf in leaves:
+            self._refresh(leaf)
+            if self._rival is not None and self._rival[0] != leaf:
+                self._rival = None
+            k = cap + leaf
+            meet = 0 if dirty is None else _common_ancestor(k, cap + dirty)
+            k >>= 1
+            while k != meet:
+                order.append(k)
+                k >>= 1
+        if len(leaves) > 1:
+            order = sorted(set(order), reverse=True)  # children before parents
+        self._replay(order)
+
+    def _repair(self, top: int) -> None:
+        """Replay every node under top (top included) whose certificate
+        excludes _x; a node whose interval holds _x vouches for its subtree."""
+        nodes, x = self._nodes, self._x
+        failed, stack = [], [top]
+        while stack:
+            k = stack.pop()
+            lo, hi, _ = nodes[k]
+            if not lo <= x < hi:  # leaves never fail
+                failed.append(k)
+                stack.append(2 * k)
+                stack.append(2 * k + 1)
+        failed.reverse()  # children before parents
+        self._replay(failed)
 
     def _find_rival(self, leaf: int) -> None:
         """Fold the winners beside the leaf's path into its rival at the
@@ -354,35 +407,50 @@ class LowerEnvelope:
         return chain
 
     def check_invariants(self) -> None:
-        """Check every leaf against its bucket and every node against a brute
-        force over its subtree at the current x (by value, so exact only in
-        rational mode). Test hook, not hot path."""
-        if self._dirty is not None:
-            self._flush()
-        cap, x = self._cap, self._x
-        win = [e for _, _, e in self._nodes]
+        """Check every leaf against its bucket, and every node against the
+        minimum over its subtree's leaves at _x (by value, so exact only in
+        rational mode) and against its children's intervals. The pending
+        leaf's path is skipped: it holds until the next query replays it.
+        Test hook, not hot path."""
+        cap, x, nodes = self._cap, self._x, self._nodes
+        assert len(nodes) == 2 * cap and len(self._heaps) <= cap
+        stale = set()  # the pending leaf and its ancestors
+        k = cap + self._dirty if self._dirty is not None else 0
+        while k:
+            stale.add(k)
+            k >>= 1
         buckets = {}
         for e in self._where.values():
             assert self._leaf_of[e[2]] == e[3]
             if e[3] not in buckets or e < buckets[e[3]]:
                 buckets[e[3]] = e
-        for leaf in range(len(self._heaps)):
+        for leaf in range(cap):
             want = buckets.get(leaf)
-            assert win[cap + leaf] is want, f"leaf {leaf}: {win[cap + leaf]} != {want}"
-        for k in range(1, cap):
-            first, last = k, k + 1
-            while first < cap:
-                first, last = 2 * first, 2 * last
-            entries = [e for e in win[first:last] if e is not None]
-            want = min(entries, key=lambda e: (e[2] * x + e[0], e[2]), default=None)
-            assert win[k] is want, f"node {k} at x={x}: {win[k]} != {want}"
-            lo, hi, _ = self._nodes[k]
-            assert lo <= x < hi, f"node {k} certificate excludes x"
-        if self._rival is not None:
+            got = nodes[cap + leaf][2]
+            assert cap + leaf in stale or got is want, f"leaf {leaf}: {got} != {want}"
+
+        def value(e):
+            return e[2] * x + e[0], e[2]
+
+        def subtree_min(k):
+            if k >= cap:
+                return nodes[k][2]
+            mins = [e for e in (subtree_min(2 * k), subtree_min(2 * k + 1)) if e is not None]
+            want = min(mins, key=value, default=None)
+            if k not in stale:
+                lo, hi, got = nodes[k]
+                assert got is want, f"node {k} at x={x}: {got} != {want}"
+                assert lo <= x < hi, f"node {k} certificate excludes x"
+                for lo_c, hi_c, _ in (nodes[2 * k], nodes[2 * k + 1]):
+                    assert lo_c <= lo and hi <= hi_c, f"node {k} outgrows a child"
+            return want
+
+        if cap:
+            subtree_min(1)
+        if self._rival is not None and self._dirty in (None, self._rival[0]):
             leaf, line, rlo, rhi = self._rival
-            others = [e for i, e in enumerate(win[cap:]) if i != leaf and e is not None]
-            want = min(others, key=lambda e: (e[2] * x + e[0], e[2]), default=None)
-            assert line is want and rlo <= x < rhi, f"rival of leaf {leaf} at x={x}"
+            want = min((e for i, e in buckets.items() if i != leaf), key=value, default=None)
+            assert not rlo <= x < rhi or line is want, f"rival of leaf {leaf} at x={x}"
 
 
 def _duel(a, b, x):
@@ -394,6 +462,16 @@ def _duel(a, b, x):
     if x < cross:
         return a, _NEG_INF, cross
     return b, cross, _POS_INF
+
+
+def _common_ancestor(a: int, b: int) -> int:
+    """The lowest common ancestor of two nodes of the heap-ordered tree."""
+    shift = a.bit_length() - b.bit_length()
+    if shift > 0:
+        a >>= shift
+    else:
+        b >>= -shift
+    return a >> (a ^ b).bit_length()
 
 
 def _crossing(a, b):

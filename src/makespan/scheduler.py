@@ -133,16 +133,19 @@ def _envelope_lpt(instance: Instance, admission_order: list, name: str,
 
     Machines enter the envelope in ``admission_order`` as soon as their
     battery covers the current job; since jobs shrink monotonically, the
-    admission pointer only advances. Each job is placed by one
-    ``raise_min`` at its length, which picks the machine and raises its
-    line to the new finish time. Query points only shrink, so each step
-    replays the tournament nodes that shrinking invalidated plus at most one
-    leaf-to-root path.
+    admission pointer only advances, and the machines it passes for one job
+    enter as one ``insert`` batch. Each job is placed by one ``raise_min``
+    at its length, which picks the machine and raises its line to the new
+    finish time. Query points only shrink, so each step replays one
+    leaf-to-root path at the job's length plus the nodes beside it that
+    shrinking invalidated.
     """
     m, speeds, lengths = instance.m, instance.speeds, instance.lengths
     batteries = instance.batteries
     inv = [1 / v for v in speeds]
     T = [_zero(instance)] * m
+    # a machine is idle until admitted, so its line is known up front
+    lines = [Line(inv[j], T[j], j) for j in admission_order]
     assignment = [[] for _ in range(m)]
     trace = LptTrace(algorithm=name)
     env = LowerEnvelope()
@@ -150,16 +153,18 @@ def _envelope_lpt(instance: Instance, admission_order: list, name: str,
     ptr = 0
     for i in _job_order(instance):
         l = lengths[i]
-        while ptr < m:
-            j = admission_order[ptr]
-            d = batteries[j]
-            if d is not None and d < l:
-                break
-            env.insert(Line(inv[j], T[j], j))
-            ptr += 1
-        if ptr == 0:
-            raise InfeasibleError(
-                f"no admitted machine can carry job {i} (length {scalar_to_str(l)})")
+        if ptr < m:
+            start = ptr
+            while ptr < m:
+                d = batteries[admission_order[ptr]]
+                if d is not None and d < l:
+                    break
+                ptr += 1
+            if ptr > start:
+                env.insert(*lines[start:ptr])
+            elif ptr == 0:
+                raise InfeasibleError(
+                    f"no admitted machine can carry job {i} (length {scalar_to_str(l)})")
         j, after = raise_min(l)
         if record_trace:
             trace.job_ids.append(i)
@@ -176,11 +181,13 @@ def _envelope_lpt(instance: Instance, admission_order: list, name: str,
 def lpt_fast(instance: Instance, record_trace: bool = True) -> LptTrace:
     """Envelope-based LPT for uniform machines.
 
-    One line per machine, h_j(x) = x/v_j + T_j; each job costs one
-    ``LowerEnvelope.raise_min`` call. The counters report the tournament's
-    node replays: tests/test_envelope.py holds them under 1.5x the tree depth
-    per job for m = 100 to 4000, with distinct or shared speeds. In rational
-    mode the assignment is identical to lpt_naive decision for decision.
+    One line per machine, h_j(x) = x/v_j + T_j, all admitted in one batch
+    before the first job; each job costs one ``LowerEnvelope.raise_min``
+    call. The counters report the tournament's node replays:
+    tests/test_envelope.py holds them under 1.5x ceil(log2 S) per job for S
+    distinct speeds and m = 100 to 4000, with distinct or shared speeds. In
+    rational mode the assignment is identical to lpt_naive decision for
+    decision.
     """
     if instance.kind is not Kind.USP:
         raise UsageError("lpt_fast expects a USP instance")

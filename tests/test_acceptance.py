@@ -148,16 +148,25 @@ def test_06_restricted_example_values():
 
 def test_07_near_linear_scaling():
     """Float mode: lpt_fast at (1e4,1e3), (1e5,1e4), (1e6,1e5) with median
-    wall-time ratio <= 13 per decade and exact envelope counters
-    (m + n inserts, n deletes, n queries); lpt_naive doubles n = m from 1e4
+    wall-time ratio <= 13 per decade, exact envelope counters (m + n
+    inserts, n deletes, n queries) and node replays per job <= 1.5 *
+    ceil(log2 S) for S distinct slopes; lpt_naive doubles n = m from 1e4
     to 2e4 with time ratio >= 3 (< 5 min total)."""
     t0 = time.perf_counter()
     sizes = [(10_000, 1_000), (100_000, 10_000), (1_000_000, 100_000)]
     fast = bench_scaling("lpt-fast", sizes, repetitions=3, seed=7)
-    for r in fast:
+    levels = []
+    for idx, r in enumerate(fast):
         assert r.counters["inserts"] == r.m + r.n
         assert r.counters["deletes"] == r.n
         assert r.counters["queries"] == r.n
+        # bench_scaling seeds size idx with seed + 7919 * idx; speeds are
+        # drawn before lengths, so n = 1 gives the same speeds
+        spec = GenSpec(family="uniform-usp", n=1, m=r.m, seed=7 + 7919 * idx)
+        depth = math.ceil(math.log2(len(set(generate(spec, Mode.F64).speeds))))
+        per_job = r.counters["replays"] / r.n
+        assert per_job <= 1.5 * depth, f"{per_job:.2f} replays per job at m={r.m}"
+        levels.append(per_job / depth)
     r1 = fast[1].median_s / fast[0].median_s
     r2 = fast[2].median_s / fast[1].median_s
     assert r1 <= 13, f"decade 1 ratio {r1:.1f}"
@@ -171,7 +180,8 @@ def test_07_near_linear_scaling():
     assert elapsed < 300
     report("7 near-linear-scaling",
            f"fast decade ratios {r1:.1f}, {r2:.1f} <= 13; naive 2x-size ratio "
-           f"{r_naive:.2f} >= 3; counters exact; {elapsed:.0f}s")
+           f"{r_naive:.2f} >= 3; counters exact; replays per job per level "
+           f"{', '.join(f'{v:.2f}' for v in levels)} <= 1.5; {elapsed:.0f}s")
 
 
 def test_08_rounding_sandwich():

@@ -287,6 +287,18 @@ def test_bench_bad_sizes_exit_2(capsys):
     assert main(["bench", "--algo", "lpt-fast", "--sizes", "nope", "--reps", "1"]) == 2
 
 
+@pytest.mark.parametrize("sizes", ["1e400:10", "inf:10", "10:nan"])
+def test_bench_non_finite_sizes_exit_2(sizes, capsys):
+    assert main(["bench", "--algo", "lpt-fast", "--sizes", sizes, "--reps", "1"]) == 2
+    assert "finite integers" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sizes", ["2.5:1", "10:1.5"])
+def test_bench_fractional_sizes_exit_2(sizes, capsys):
+    assert main(["bench", "--algo", "lpt-fast", "--sizes", sizes, "--reps", "1"]) == 2
+    assert "finite integers" in capsys.readouterr().err
+
+
 def test_ratio_report_line_matches_schema():
     from makespan import ratio_report
     inst = parse_instance_text(DWP_EXAMPLE, Mode.RATIONAL)

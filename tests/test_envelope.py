@@ -393,3 +393,62 @@ def test_raise_min_mixed_with_updates_matches_oracle():
         if step % 100 == 0:
             env.check_invariants()
     env.check_invariants()
+
+
+@pytest.mark.parametrize("slopes", [3, 5, 6, 7, 100, 287])
+def test_batched_admission_then_mixed_ops_match_oracle(slopes):
+    # One batch admits every slope, so the leaf row holds exactly `slopes`
+    # leaves, mostly not a power of two. Random raise_min, query_min (x
+    # rising as well as falling), batched inserts and deletes follow, each
+    # checked against the linear scan and the invariants; last, single
+    # inserts of new slopes grow the row past its exact size.
+    rng = random.Random(slopes)
+    pool = [F(k, 7) for k in rng.sample(range(1, 4 * slopes + 40), slopes + 12)]
+    admitted = [Line(pool[j % slopes], F(rng.randint(0, 30)), j) for j in range(2 * slopes)]
+    env = LowerEnvelope()
+    env.insert(*admitted)
+    assert env.counters["replays"] == slopes - 1  # one build of an exact row
+    env.check_invariants()
+    live = {line.owner: line.slope for line in admitted}
+    nxt = len(admitted)
+    x = F(rng.randint(50, 100))
+    for step in range(150 if slopes < 100 else 60):
+        roll = rng.random()
+        if roll < 0.4:
+            x = max(F(0), x - F(rng.randint(0, 9), 4))
+            want = linear_scan_min(env, x)
+            assert env.raise_min(x) == want, step
+        elif roll < 0.6:
+            x = max(F(0), x + F(rng.randint(-9, 9), 4))
+            assert env.query_min(x) == linear_scan_min(env, x), step
+        elif roll < 0.8:
+            batch = []
+            for _ in range(rng.randint(1, 3)):
+                live[nxt] = rng.choice(pool[:slopes])
+                batch.append(Line(live[nxt], F(rng.randint(-10, 40)), nxt))
+                nxt += 1
+            env.insert(*batch)
+        elif len(live) > 1:
+            victim = rng.choice(sorted(live))
+            del live[victim]
+            env.delete(victim)
+        env.check_invariants()
+    for slope in pool[slopes:]:
+        env.insert(Line(slope, F(rng.randint(0, 30)), nxt))
+        nxt += 1
+        env.check_invariants()
+        x = max(F(0), x - F(rng.randint(0, 9), 4))
+        want = linear_scan_min(env, x)
+        assert env.raise_min(x) == want
+        env.check_invariants()
+
+
+def test_batch_with_a_taken_or_repeated_owner_is_rejected_whole():
+    env = LowerEnvelope()
+    env.insert(Line(F(1), F(0), 0))
+    for batch in ([Line(F(2), F(0), 1), Line(F(3), F(0), 0)],
+                  [Line(F(2), F(0), 1), Line(F(3), F(0), 1)]):
+        with pytest.raises(UsageError):
+            env.insert(*batch)
+        assert sorted(env.lines()) == [Line(F(1), F(0), 0)]
+    env.check_invariants()
