@@ -21,6 +21,10 @@ structures for mobile data", J. Algorithms 31, 1999) over per-slope buckets:
   holds doubles it until they fit, then replays every node once. Leaves are
   never freed. Any row size C makes a binary tree in the heap layout, with
   every leaf at depth floor(log2 C) or one more;
+* a batch's new slopes take their leaves in ascending slope order. A single
+  batch (lpt-fast admits every machine in one) thus lays the whole row out
+  by slope: each subtree covers a contiguous slope range, so as x falls its
+  winner seldom changes away from the raised leaf's path;
 * at most one leaf is pending: its minimum changed (a delete or raise_min
   of its winner) and its path to the root is stale. The next query replays
   that path at the query's own x, walking up from the leaf; a sibling whose
@@ -41,10 +45,11 @@ queries at arbitrary points have no logarithmic bound. The LPT pattern
 (query points that only shrink, one raised line per query) has a measured
 one: tests/test_envelope.py holds node replays per job, queries and updates
 together, under 1.5 per level of ceil(log2 S) at m = 100 to 4000 machines
-and n = 10m jobs. Measured per level at m = 100, 800, 2000, 4000: 1.08,
-1.14, 1.20, 1.22 for lpt-fast and 0.77, 0.83, 0.85, 0.86 for dwp-lpt with
-distinct speeds; 1.02, 0.82, 0.51, 0.30 for lpt-fast on 301 shared slopes,
-where buckets fill and the rival check answers most queries.
+and n = 10m jobs, and under 1.1 for lpt-fast with distinct speeds. Measured
+per level at m = 100, 800, 2000, 4000: 0.97, 0.98, 1.02, 1.02 for lpt-fast
+(1.08 to 1.22 with leaves in machine-id order) and 0.77, 0.83, 0.85, 0.86
+for dwp-lpt with distinct speeds; 0.95, 0.78, 0.49, 0.28 for lpt-fast on 301
+shared slopes, where buckets fill and the rival check answers most queries.
 """
 
 from __future__ import annotations
@@ -121,7 +126,7 @@ class LowerEnvelope:
         self.counters["inserts"] += len(lines)
         cap, nodes, dirty = self._cap, self._nodes, self._dirty
         changed = []  # leaves whose minimum the batch lowered
-        for slope, icept, owner in lines:
+        for slope, icept, owner in sorted(lines):  # new slopes get leaves in slope order
             leaf = leaf_of.get(slope)
             if leaf is None:
                 leaf = leaf_of[slope] = len(heaps)
@@ -225,8 +230,10 @@ class LowerEnvelope:
                 # minimum beats its rival, the path need not be replayed.
                 best = nodes[self._cap + leaf][2]
                 if best is not None:
+                    if rival[1] is None:
+                        return best
                     counters["comparisons"] += 1
-                    if rival[1] is None or _duel(best, rival[1], x)[0] is best:
+                    if _duel(best, rival[1], x)[0] is best:
                         return best
         # Replay the pending path at x, walking up from the leaf and carrying
         # the node just computed (also stored at nodes[k]) as one child.

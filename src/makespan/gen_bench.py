@@ -337,7 +337,8 @@ def ratio_sweep(family: str, count: int, algorithm: Optional[str] = None,
     Rational mode throughout; `bound` is either the string "phi" (checked by
     the exact x^2 <= x + 1 predicate) or a Fraction. Instances are drawn with
     n in 1..n_max and m in 1..m_max. Parallelizes across seed chunks when
-    `threads` (or MAKESPAN_THREADS) exceeds one; the merge is deterministic.
+    `threads` (or MAKESPAN_THREADS) exceeds one, with at most one worker
+    process per CPU; the merge is deterministic.
     """
     if count < 1:
         raise UsageError("count must be >= 1")
@@ -345,7 +346,8 @@ def ratio_sweep(family: str, count: int, algorithm: Optional[str] = None,
         algorithm = DEFAULT_ALGORITHM[family]
     if threads is None:
         threads = sweep_threads()
-    threads = min(threads, count)
+    # the fork start method starts every worker at once: one per CPU at most
+    threads = min(threads, count, os.cpu_count() or 1)
 
     if threads == 1:
         result = _sweep_chunk((family, algorithm, seed, 0, count,

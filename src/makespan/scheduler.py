@@ -182,12 +182,14 @@ def lpt_fast(instance: Instance, record_trace: bool = True) -> LptTrace:
     """Envelope-based LPT for uniform machines.
 
     One line per machine, h_j(x) = x/v_j + T_j, all admitted in one batch
-    before the first job; each job costs one ``LowerEnvelope.raise_min``
-    call. The counters report the tournament's node replays:
-    tests/test_envelope.py holds them under 1.5x ceil(log2 S) per job for S
-    distinct speeds and m = 100 to 4000, with distinct or shared speeds. In
-    rational mode the assignment is identical to lpt_naive decision for
-    decision.
+    before the first job, so the tournament's leaves lie in slope order and
+    each subtree covers one contiguous speed range; each job costs one
+    ``LowerEnvelope.raise_min`` call. The counters report the tournament's
+    node replays: tests/test_envelope.py holds them under 1.5x ceil(log2 S)
+    per job for S distinct speeds and m = 100 to 4000, with distinct or
+    shared speeds, and under 1.1x with distinct speeds (measured 0.97 to
+    1.02x, about one leaf-to-root path per job). In rational mode the
+    assignment is identical to lpt_naive decision for decision.
     """
     if instance.kind is not Kind.USP:
         raise UsageError("lpt_fast expects a USP instance")

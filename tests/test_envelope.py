@@ -273,9 +273,12 @@ DISTINCT = dict(grid=10 ** 4, speed_range=(F(1), F(100)), distinct_speeds=True)
 @pytest.mark.parametrize("m", [100, 800, 2000, 4000])
 def test_lpt_distinct_speeds_one_path_replay_per_job(m):
     # LPT's delete-then-reinsert of one slope must cost one path replay, so
-    # node replays per job stay near the tree depth, not twice it.
+    # node replays per job stay near the tree depth, not twice it. lpt-fast
+    # admits every machine in one batch, whose leaves are laid out in slope
+    # order, so off-path certificates seldom fail: measured 0.97-1.02 per
+    # level, against 1.08-1.22 with the leaves in machine-id order.
     spec = GenSpec(family="uniform-usp", n=10 * m, m=m, seed=m, **DISTINCT)
-    assert replays_per_level(lpt_fast, spec) <= 1.5
+    assert replays_per_level(lpt_fast, spec) <= 1.1
 
 
 @pytest.mark.parametrize("m", [100, 800, 2000, 4000])
@@ -286,6 +289,15 @@ def test_lpt_distinct_speeds_one_path_replay_per_job(m):
 def test_lpt_replays_within_depth(scheduler, family, options, m):
     spec = GenSpec(family=family, n=10 * m, m=m, seed=m, **options)
     assert replays_per_level(scheduler, spec) <= 1.5
+
+
+def test_single_slope_lpt_makes_no_comparisons():
+    # every line shares one leaf: there is nothing to compare it with, so
+    # the rival check must not count a comparison against an empty rival
+    spec = GenSpec(family="equal-speed", n=1000, m=100, seed=1)
+    counters = lpt_fast(generate(spec, Mode.F64), record_trace=False).counters
+    assert counters["comparisons"] == 0
+    assert counters["replays"] == 0
 
 
 def test_same_slope_runs_with_side_updates_match_oracle():

@@ -173,6 +173,29 @@ def test_ratio_sweep_parallel_merge_matches_serial(monkeypatch):
     assert parallel.max_instance_text == serial.max_instance_text
 
 
+def test_ratio_sweep_caps_workers_at_cpu_count(monkeypatch):
+    # A huge MAKESPAN_THREADS must not start that many processes: the pool
+    # gets one worker per CPU. The stub pool starts none; its OSError sends
+    # the sweep down the serial fallback, which must give the serial result.
+    from makespan import gen_bench
+    requested = []
+
+    class NoPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+            raise OSError("no processes in this test")
+
+    monkeypatch.setattr(gen_bench.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(gen_bench, "ProcessPoolExecutor", NoPool)
+    monkeypatch.setenv("MAKESPAN_THREADS", "10000")
+    capped = ratio_sweep("uniform-dwp", count=20, bound="phi", seed=5, n_max=5, m_max=3)
+    assert requested == [3]
+    monkeypatch.setattr(gen_bench.os, "cpu_count", lambda: None)  # unknown: serial
+    serial = ratio_sweep("uniform-dwp", count=20, bound="phi", seed=5, n_max=5, m_max=3)
+    assert requested == [3]
+    assert capped.to_json() == serial.to_json()
+
+
 def test_threads_env_var(monkeypatch):
     from makespan.gen_bench import sweep_threads
     monkeypatch.setenv("MAKESPAN_THREADS", "4")
