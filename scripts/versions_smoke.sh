@@ -1,0 +1,37 @@
+#!/bin/sh
+# CLI smoke run: generate a uniform-usp, a uniform-dwp and a paper-4.3
+# instance, run `schedule --trace` with every scheduler in f64 and rational
+# mode, and `verify --count 50` on both uniform families. Every step must
+# exit 0; each step's stdout is kept in OUT_DIR, so two interpreters' runs
+# can be compared byte for byte.
+#
+#   sh scripts/versions_smoke.sh OUT_DIR
+set -eu
+out=${1:?usage: versions_smoke.sh OUT_DIR}
+mkdir -p "$out"
+
+cli() {
+    name=$1
+    shift
+    python -m makespan.cli "$@" > "$out/$name"
+}
+
+cli usp.txt gen --family uniform-usp --n 8 --m 3 --seed 1
+cli dwp.txt gen --family uniform-dwp --n 8 --m 3 --seed 1
+cli restricted.txt gen --family paper-4.3
+for numeric in f64 rational; do
+    for algo in lpt-naive lpt-fast opt; do
+        cli "usp-$algo-$numeric.json" schedule --algo "$algo" --input "$out/usp.txt" \
+            --numeric "$numeric" --trace
+    done
+    for algo in dwp-lpt opt; do
+        cli "dwp-$algo-$numeric.json" schedule --algo "$algo" --input "$out/dwp.txt" \
+            --numeric "$numeric" --trace
+    done
+    cli "restricted-lpt-restricted-$numeric.json" schedule --algo lpt-restricted \
+        --input "$out/restricted.txt" --numeric "$numeric" --trace
+done
+for family in uniform-usp uniform-dwp; do
+    cli "verify-$family.json" verify --family "$family" --count 50
+done
+echo "smoke ok: $(ls "$out" | wc -l) outputs in $out"

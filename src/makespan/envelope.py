@@ -1,10 +1,14 @@
 """Dynamic minimum of lines under a moving query point: batched insert,
-delete, point-minimum query, and the fused LPT step raise_min.
+delete, point-minimum query, and the fused LPT step raise_min with its run
+form raise_each.
 
 Lines are y = slope*x + intercept, one per owner id. query_min(x) returns the
 stored line minimizing its value at x under the canonical tie rule: least
 value, then least slope, then least owner id. raise_min(x) is one LPT step:
-it finds that line and sets its intercept to its value at x.
+it finds that line and sets its intercept to its value at x. raise_each(xs)
+takes those steps at each x in turn in one call; all three run one loop, so
+a run of LPT steps pays the call, the state loads and the counter updates
+once.
 
 The structure is a kinetic tournament (Basch, Guibas & Hershberger, "Data
 structures for mobile data", J. Algorithms 31, 1999) over per-slope buckets:
@@ -33,7 +37,8 @@ structures for mobile data", J. Algorithms 31, 1999) over per-slope buckets:
   interval excludes x. An insert batch replays, at the last query point, the
   union of the paths of the leaves whose minimum it lowered, each up to
   where it meets the pending path, and leaves the pending leaf pending. An
-  LPT step is one raise_min call and costs one path replay;
+  LPT step costs one path replay, and a raise refreshes its leaf's node from
+  the bucket at once, so the next step of the run starts from it;
 * when one leaf wins three queries in a row, the query caches the leaf's
   rival: the best line beside its path, with the interval on which it stays
   best. While that leaf is pending and no other leaf has changed, a query
@@ -161,8 +166,8 @@ class LowerEnvelope:
 
     def query_min(self, x: Scalar):
         """Return (owner, value) of the minimal line at x >= 0, canonical ties."""
-        icept, owner, slope, _ = self._query(x)
-        return owner, slope * x + icept
+        owners, values = self._steps((x,), False)
+        return owners[0], values[0]
 
     def raise_min(self, x: Scalar):
         """One LPT step: find the minimal line at x >= 0 as query_min does,
@@ -173,15 +178,14 @@ class LowerEnvelope:
         one query, one delete and one insert, and leaves the raised leaf
         pending.
         """
-        icept, owner, slope, leaf = self._query(x)
-        value = slope * x + icept
-        entry = self._where[owner] = (value, owner, slope, leaf)
-        heapreplace(self._heaps[leaf], entry)  # the live winner is its heap's top
-        self._dirty = leaf
-        counters = self.counters
-        counters["deletes"] += 1
-        counters["inserts"] += 1
-        return owner, value
+        owners, values = self._steps((x,), True)
+        return owners[0], values[0]
+
+    def raise_each(self, xs):
+        """raise_min at each x of the sequence xs in turn, in one call;
+        returns the lists (owners, values). The answers, counters and lines
+        are those of one raise_min call per x."""
+        return self._steps(xs, True)
 
     def breakpoints(self):
         """Envelope pieces as (start_x, owner); the first start is None (-inf)."""
@@ -201,93 +205,117 @@ class LowerEnvelope:
 
     # -- tournament ------------------------------------------------------------
 
-    def _query(self, x):
-        """The winning entry at x, with every node valid at x or the winner's
-        leaf still pending (see the rival check)."""
-        if not self._where:
+    def _steps(self, xs, lift):
+        """Query at each x of the sequence xs in turn and, with lift, raise
+        each winner to its value there; returns the lists (owners, values).
+        The state and the counts live in locals and are stored back once,
+        also when a bad x stops the run. A raise refreshes its leaf's node
+        at once, so no step of the run refreshes the pending leaf."""
+        where, heaps, nodes, cap = self._where, self._heaps, self._nodes, self._cap
+        if xs and not where:
             raise UsageError("query on an empty envelope")
-        if not x >= 0:  # also rejects nan
-            raise UsageError(f"query point must be >= 0, got {scalar_to_str(x)}")
-        counters = self.counters
-        counters["queries"] += 1
-        nodes = self._nodes
-        leaf = self._dirty
-        if leaf is None:
-            self._x = x
-            self._streak = 0
-            lo, hi, best = nodes[1]
-            if not lo <= x < hi:
-                self._repair(1)
-                best = nodes[1][2]
-            return best
-        self._refresh(leaf)
-        rival = self._rival
-        if rival is not None:
-            if rival[0] != leaf:
-                self._rival = None  # another leaf's rival: this leaf's change voids it
-            elif rival[2] <= x < rival[3]:
-                # LPT often picks the same slope again: if the pending leaf's
-                # minimum beats its rival, the path need not be replayed.
-                best = nodes[self._cap + leaf][2]
-                if best is not None:
-                    if rival[1] is None:
-                        return best
-                    counters["comparisons"] += 1
-                    if _duel(best, rival[1], x)[0] is best:
-                        return best
-        # Replay the pending path at x, walking up from the leaf and carrying
-        # the node just computed (also stored at nodes[k]) as one child.
-        # Which child is which changes no result, as no two leaves share a
-        # slope. The sibling is valid at the old point; the carried interval
-        # holds x, so only a sibling that cuts it can exclude x, and such a
-        # sibling is repaired before the step is redone. Then every node is
-        # valid at x: each one is on the path or under a sibling.
-        self._dirty = None
-        self._x = x
-        k = self._cap + leaf
-        counters["replays"] += k.bit_length() - 1
-        lo, hi, a = nodes[k]
-        comparisons = 0
-        while k > 1:
-            slo, shi, b = nodes[k ^ 1]
-            if slo > lo:
-                if slo > x:
-                    self._repair(k ^ 1)
-                    lo, hi, a = nodes[k]
-                    continue
-                lo = slo
-            if shi < hi:
-                if shi <= x:
-                    self._repair(k ^ 1)
-                    lo, hi, a = nodes[k]
-                    continue
-                hi = shi
-            k >>= 1
-            if a is None:
-                a = b
-            elif b is not None:
-                comparisons += 1
-                if a[2] < b[2]:
-                    a, b = b, a  # a is the steeper line
-                cross = (b[0] - a[0]) / (a[2] - b[2])
-                if x < cross:
-                    if cross < hi:
-                        hi = cross
+        leaf, rival, streak, at = self._dirty, self._rival, self._streak, self._x
+        if leaf is not None:
+            self._refresh(leaf)  # its bucket may have changed since the last step
+        owners, values = [], []
+        replays = comparisons = 0
+        try:
+            for x in xs:
+                if not x >= 0:  # also rejects nan
+                    raise UsageError(f"query point must be >= 0, got {scalar_to_str(x)}")
+                if leaf is None:
+                    at, streak = x, 0
+                    lo, hi, best = nodes[1]
+                    if not lo <= x < hi:
+                        self._x = x
+                        self._repair(1)
+                        best = nodes[1][2]
                 else:
-                    a = b
-                    if cross > lo:
-                        lo = cross
-            nodes[k] = (lo, hi, a)
-        counters["comparisons"] += comparisons
-        if a[3] != leaf:
-            self._streak = 0
-        else:
-            # Wait for a third win in a row: short runs would not repay the
-            # cost of finding the rival.
-            self._streak += 1
-            if self._streak >= 2:
-                self._find_rival(leaf)
-        return a
+                    k = cap + leaf
+                    lo, hi, best = nodes[k]
+                    if rival is not None and rival[0] != leaf:
+                        rival = None  # another leaf's rival: this leaf's change voids it
+                    # LPT often picks the same slope again: if the pending
+                    # leaf's minimum beats its rival, the path need not be
+                    # replayed.
+                    hit = rival is not None and best is not None and rival[2] <= x < rival[3]
+                    if hit and rival[1] is not None:
+                        comparisons += 1
+                        hit = _duel(best, rival[1], x)[0] is best
+                    if not hit:
+                        # Replay the pending path at x from the leaf up,
+                        # carrying the node just computed as one child (no
+                        # two leaves share a slope, so which child is which
+                        # changes no result). A sibling is valid at the old
+                        # point, so only one that cuts the carried interval
+                        # can exclude x: it is repaired and the step redone.
+                        at = self._x = x
+                        replays += k.bit_length() - 1
+                        a = best
+                        while k > 1:
+                            slo, shi, b = nodes[k ^ 1]
+                            if slo > lo:
+                                if slo > x:
+                                    self._repair(k ^ 1)
+                                    lo, hi, a = nodes[k]
+                                    continue
+                                lo = slo
+                            if shi < hi:
+                                if shi <= x:
+                                    self._repair(k ^ 1)
+                                    lo, hi, a = nodes[k]
+                                    continue
+                                hi = shi
+                            k >>= 1
+                            if a is None:
+                                a = b
+                            elif b is not None:
+                                comparisons += 1
+                                if a[2] < b[2]:
+                                    a, b = b, a  # a is the steeper line
+                                cross = (b[0] - a[0]) / (a[2] - b[2])
+                                if x < cross:
+                                    if cross < hi:
+                                        hi = cross
+                                else:
+                                    a = b
+                                    if cross > lo:
+                                        lo = cross
+                            nodes[k] = (lo, hi, a)
+                        if a[3] != leaf:
+                            streak = 0
+                        else:
+                            # Wait for a third win in a row: short runs would
+                            # not repay the cost of finding the rival.
+                            streak += 1
+                            if streak >= 2:
+                                rival = self._find_rival(leaf, x)
+                        leaf, best = None, a
+                icept, owner, slope, won = best
+                value = slope * x + icept
+                if lift:
+                    entry = where[owner] = (value, owner, slope, won)
+                    heap = heaps[won]
+                    heapreplace(heap, entry)  # the live winner is its heap's top
+                    top = heap[0]
+                    while where.get(top[1]) is not top:  # drop deleted lines
+                        heappop(heap)
+                        top = heap[0]
+                    nodes[cap + won] = (_NEG_INF, _POS_INF, top)
+                    leaf = won
+                owners.append(owner)
+                values.append(value)
+        finally:
+            self._dirty, self._rival, self._streak, self._x = leaf, rival, streak, at
+            counters = self.counters
+            steps = len(owners)
+            counters["queries"] += steps
+            if lift:
+                counters["deletes"] += steps
+                counters["inserts"] += steps
+            counters["replays"] += replays
+            counters["comparisons"] += comparisons
+        return owners, values
 
     def _grow(self) -> None:
         """Give every slope a leaf and replay every internal node at _x. A
@@ -350,10 +378,10 @@ class LowerEnvelope:
         failed.reverse()  # children before parents
         self._replay(failed)
 
-    def _find_rival(self, leaf: int) -> None:
-        """Fold the winners beside the leaf's path into its rival at the
-        current x; every node is valid there."""
-        nodes, x = self._nodes, self._x
+    def _find_rival(self, leaf: int, x):
+        """The leaf's rival: the winners beside its path folded at x, where
+        every node is valid."""
+        nodes = self._nodes
         rival, rlo, rhi = None, _NEG_INF, _POS_INF
         node = self._cap + leaf
         while node > 1:
@@ -366,7 +394,7 @@ class LowerEnvelope:
                 rlo, rhi = max(rlo, dlo), min(rhi, dhi)
                 self.counters["comparisons"] += 1
             node >>= 1
-        self._rival = (leaf, rival, rlo, rhi)
+        return leaf, rival, rlo, rhi
 
     def _replay(self, order) -> None:
         """Recompute each node from its children at the current x, in order.

@@ -2,13 +2,16 @@
 
 Every variant assigns jobs in non-increasing length order (ties by ascending
 job id) to the machine minimizing the resulting finish time, with one shared
-tie rule: least finish value, then greatest speed, then least machine id.
+tie rule: least finish value, then greatest speed, then least current finish
+time, then least machine id.
 
 * ``_scan_lpt`` is the O(mn) scan of ``lpt-naive`` (every machine is a
   candidate) and ``lpt-restricted`` (the job's eligibility set);
-* ``_envelope_lpt`` is one ``raise_min`` per job on the kinetic tournament of
-  ``envelope.LowerEnvelope``, for ``lpt-fast`` (every machine admitted up
-  front) and ``dwp-lpt`` (drones admitted by a battery pointer sweep).
+* ``_envelope_lpt`` places each run of jobs between two admissions with
+  one ``raise_each`` call (in chunks of at most ``_CHUNK`` jobs) on the
+  kinetic tournament of ``envelope.LowerEnvelope``, for ``lpt-fast`` (every
+  machine admitted up front: one run of n jobs) and ``dwp-lpt`` (drones
+  admitted by a battery pointer sweep: at most m + 1 runs).
 """
 
 from __future__ import annotations
@@ -21,6 +24,8 @@ from .errors import InfeasibleError, UsageError
 from .model import (Instance, Kind, Schedule, battery_order, build_schedule,
                     feasibility_check)
 from .numeric import Scalar, scalar_to_str
+
+_CHUNK = 4096  # jobs per raise_each call
 
 
 class Decision(NamedTuple):
@@ -85,7 +90,11 @@ def _scan_lpt(instance: Instance, name: str, candidates, record_trace: bool) -> 
 
     ``candidates[i]`` lists the machines job i may go to, fastest first (ties
     by ascending id); the job takes the first one with the strictly least
-    finish value T + l/v, which is the shared tie rule in both numeric modes.
+    finish value T + l/v, except that at an equal value on an equal speed
+    the lesser T wins. That is the envelope's rule (least value, then least
+    slope, then least intercept, then least id), which in float mode also
+    settles two machines of one speed whose rounded values tie; in rational
+    mode equal values on one speed have equal T, so it changes nothing.
     """
     lengths = instance.lengths
     inv = [1 / v for v in instance.speeds]
@@ -100,8 +109,9 @@ def _scan_lpt(instance: Instance, name: str, candidates, record_trace: bool) -> 
         bval = T[best] + l * inv[best]
         for j in machines:
             val = T[j] + l * inv[j]
-            if val < bval:
-                best, bval = j, val
+            if val <= bval:
+                if val < bval or (inv[j] == inv[best] and T[j] < T[best]):
+                    best, bval = j, val
         scans += len(machines)
         if record_trace:
             trace.job_ids.append(i)
@@ -134,45 +144,59 @@ def _envelope_lpt(instance: Instance, admission_order: list, name: str,
     Machines enter the envelope in ``admission_order`` as soon as their
     battery covers the current job; since jobs shrink monotonically, the
     admission pointer only advances, and the machines it passes for one job
-    enter as one ``insert`` batch. Each job is placed by one ``raise_min``
-    at its length, which picks the machine and raises its line to the new
-    finish time. Query points only shrink, so each step replays one
-    leaf-to-root path at the job's length plus the nodes beside it that
-    shrinking invalidated.
+    enter as one ``insert`` batch. The jobs up to the next admission form a
+    run (one run of n jobs for lpt-fast, at most m + 1 runs for dwp-lpt),
+    placed by one ``LowerEnvelope.raise_each`` call per chunk of at most
+    ``_CHUNK`` of its jobs, so without a trace no list of n values is built.
+    Each step picks the job's machine and raises its line to the new finish
+    time; query points only shrink, so it replays one leaf-to-root path at
+    the job's length plus the nodes beside it that shrinking invalidated.
     """
     m, speeds, lengths = instance.m, instance.speeds, instance.lengths
     batteries = instance.batteries
-    inv = [1 / v for v in speeds]
-    T = [_zero(instance)] * m
+    zero = _zero(instance)
     # a machine is idle until admitted, so its line is known up front
-    lines = [Line(inv[j], T[j], j) for j in admission_order]
+    lines = [Line(1 / speeds[j], zero, j) for j in admission_order]
     assignment = [[] for _ in range(m)]
     trace = LptTrace(algorithm=name)
+    T, before = [zero] * m, trace.before  # finish times, for the trace
     env = LowerEnvelope()
-    raise_min = env.raise_min
-    ptr = 0
-    for i in _job_order(instance):
-        l = lengths[i]
-        if ptr < m:
-            start = ptr
-            while ptr < m:
-                d = batteries[admission_order[ptr]]
-                if d is not None and d < l:
-                    break
-                ptr += 1
-            if ptr > start:
-                env.insert(*lines[start:ptr])
-            elif ptr == 0:
-                raise InfeasibleError(
-                    f"no admitted machine can carry job {i} (length {scalar_to_str(l)})")
-        j, after = raise_min(l)
+    order = _job_order(instance)
+    n = len(order)
+    ptr = start = 0
+    while start < n:
+        l = lengths[order[start]]
+        first = ptr
+        while ptr < m:
+            d = batteries[admission_order[ptr]]
+            if d is not None and d < l:
+                break
+            ptr += 1
+        if ptr > first:
+            env.insert(*lines[first:ptr])
+        elif ptr == 0:
+            raise InfeasibleError(
+                f"no admitted machine can carry job {order[start]} (length {scalar_to_str(l)})")
+        stop = min(n, start + _CHUNK)
+        if ptr < m:  # the next machine's battery d fell short of this job
+            k = start + 1
+            while k < stop and lengths[order[k]] > d:
+                k += 1
+            stop = k  # the first job d covers starts the next run
+        jobs = order[start:stop]
+        machines, after = env.raise_each([lengths[i] for i in jobs])
         if record_trace:
-            trace.job_ids.append(i)
-            trace.machine_ids.append(j)
-            trace.before.append(T[j])
-            trace.after.append(after)
-        T[j] = after
-        assignment[j].append(i)
+            trace.job_ids += jobs
+            trace.machine_ids += machines
+            trace.after += after
+            for i, j, v in zip(jobs, machines, after):
+                assignment[j].append(i)
+                before.append(T[j])
+                T[j] = v
+        else:
+            for i, j in zip(jobs, machines):
+                assignment[j].append(i)
+        start = stop
     trace.counters = dict(env.counters)
     trace.schedule = build_schedule(instance, assignment)
     return trace
@@ -183,8 +207,9 @@ def lpt_fast(instance: Instance, record_trace: bool = True) -> LptTrace:
 
     One line per machine, h_j(x) = x/v_j + T_j, all admitted in one batch
     before the first job, so the tournament's leaves lie in slope order and
-    each subtree covers one contiguous speed range; each job costs one
-    ``LowerEnvelope.raise_min`` call. The counters report the tournament's
+    each subtree covers one contiguous speed range; all n jobs are one run,
+    placed by ``LowerEnvelope.raise_each`` in chunks of at most ``_CHUNK``
+    jobs, one LPT step each. The counters report the tournament's
     node replays: tests/test_envelope.py holds them under 1.5x ceil(log2 S)
     per job for S distinct speeds and m = 100 to 4000, with distinct or
     shared speeds, and under 1.1x with distinct speeds (measured 0.97 to

@@ -335,4 +335,4 @@ def test_schedule_trace_output_bytes_pinned(tmp_path, capsys):
                              "--numeric", numeric, "--trace"]) == 0
                 digest.update(capsys.readouterr().out.encode())
     assert digest.hexdigest() == (
-        "4089395db8ff694b389574b3682da579da4126efd773e0627a13e70d0fe79b95")
+        "0f946f62e33e189d26dfb265a2f65c85371865306527ce8bbf520d7d9f03a94f")

@@ -464,3 +464,67 @@ def test_batch_with_a_taken_or_repeated_owner_is_rejected_whole():
             env.insert(*batch)
         assert sorted(env.lines()) == [Line(F(1), F(0), 0)]
     env.check_invariants()
+
+
+def run_start_state(env, start, num, slopes):
+    """Admit 60 lines on up to `slopes` slopes, take LPT steps, and leave the
+    envelope in the named start state; returns the next query point."""
+    rng = random.Random(slopes)
+    inv = [1 / num(rng.randint(1, slopes)) for _ in range(60)]
+    env.insert(*(Line(s, num(0), j) for j, s in enumerate(inv)))
+    x = num(5000) / 7
+    for _ in range(25):
+        env.raise_min(x)
+        x -= num(3) / 7
+    if start == "pending-delete":
+        env.delete(env.query_min(x)[0])
+        assert env._dirty is not None
+    elif start == "insert-below-pending":
+        owner, _ = env.raise_min(x)
+        env.insert(Line(inv[owner], num(-1), 60))  # below every line of the pending leaf
+    elif start == "cached-rival":
+        env.insert(Line(inv[0], num(-2), 60))  # far below the loads: it keeps winning
+        x /= 1000
+        for _ in range(50):
+            env.raise_min(x)
+            if env._rival is not None:
+                break
+        assert env._rival is not None
+    return x
+
+
+@pytest.mark.parametrize("mode", ["f64", "rational"])
+@pytest.mark.parametrize("slopes", [1, 3, 40, 400])
+@pytest.mark.parametrize("start", ["pending-delete", "insert-below-pending",
+                                   "cached-rival", "empty-run"])
+def test_raise_each_matches_raise_min_steps(mode, slopes, start):
+    # One raise_each call must give the answers, counters and lines that
+    # raise_min at each point in turn gives, whatever state the run starts in.
+    num = float if mode == "f64" else F
+    run, steps = LowerEnvelope(), LowerEnvelope()
+    x = run_start_state(run, start, num, slopes)
+    assert run_start_state(steps, start, num, slopes) == x
+    assert run.counters == steps.counters
+    xs = [] if start == "empty-run" else [x * (400 - k) / 400 for k in range(400)]
+    owners, values = run.raise_each(xs)
+    assert list(zip(owners, values)) == [steps.raise_min(x) for x in xs]
+    assert run.counters == steps.counters
+    assert sorted(run.lines()) == sorted(steps.lines())
+    if mode == "rational":  # the check compares by value: exact only here
+        run.check_invariants()
+
+
+def test_raise_each_stops_at_a_bad_point_after_the_steps_before_it():
+    run, steps = four_line_envelope(), four_line_envelope()
+    with pytest.raises(UsageError):
+        run.raise_each([F(5), F(4), F(-1), F(3)])
+    steps.raise_min(F(5))
+    steps.raise_min(F(4))
+    with pytest.raises(UsageError):
+        steps.raise_min(F(-1))
+    assert run.counters == steps.counters
+    assert sorted(run.lines()) == sorted(steps.lines())
+    run.check_invariants()
+    assert LowerEnvelope().raise_each([]) == ([], [])
+    with pytest.raises(UsageError):
+        LowerEnvelope().raise_each([F(1)])
