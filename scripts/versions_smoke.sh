@@ -1,9 +1,10 @@
 #!/bin/sh
 # CLI smoke run: generate a uniform-usp, a uniform-dwp and a paper-4.3
 # instance, run `schedule --trace` with every scheduler in f64 and rational
-# mode, and `verify --count 50` on both uniform families. Every step must
-# exit 0; each step's stdout is kept in OUT_DIR, so two interpreters' runs
-# can be compared byte for byte.
+# mode, `schedule --algo opt --numeric f64` on a uniform-dwp instance whose
+# greedy seed is already optimal (seed 733), and `verify --count 50` on both
+# uniform families. Every step must exit 0; each step's stdout is kept in
+# OUT_DIR, so two interpreters' runs can be compared byte for byte.
 #
 #   sh scripts/versions_smoke.sh OUT_DIR
 set -eu
@@ -31,6 +32,8 @@ for numeric in f64 rational; do
     cli "restricted-lpt-restricted-$numeric.json" schedule --algo lpt-restricted \
         --input "$out/restricted.txt" --numeric "$numeric" --trace
 done
+cli dwp733.txt gen --family uniform-dwp --n 7 --m 2 --seed 733
+cli dwp733-opt-f64.json schedule --algo opt --input "$out/dwp733.txt" --numeric f64
 for family in uniform-usp uniform-dwp; do
     cli "verify-$family.json" verify --family "$family" --count 50
 done

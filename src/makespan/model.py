@@ -90,16 +90,6 @@ class Instance:
     def n(self) -> int:
         return len(self.lengths)
 
-    def eligible_machines(self, i: int):
-        """Machine ids allowed for job i, in ascending id order."""
-        if self.kind is Kind.RESTRICTED:
-            return sorted(self.eligibility[i])
-        if self.kind is Kind.DWP:
-            l = self.lengths[i]
-            return [j for j in range(self.m)
-                    if self.batteries[j] is None or self.batteries[j] >= l]
-        return list(range(self.m))
-
 
 @dataclass(frozen=True)
 class Schedule:

@@ -12,7 +12,6 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .errors import InfeasibleError, SizeGuardError, UsageError
 from .model import (Instance, Kind, Schedule, battery_order, build_schedule,
@@ -75,41 +74,95 @@ def round_r(x: Scalar) -> Scalar:
     return float(math.floor(x))
 
 
-def _eligible_lists(instance: Instance):
-    return [instance.eligible_machines(i) for i in range(instance.n)]
+def _exact_ints(values):
+    """Map positive Fractions or floats exactly to integers over one common
+    denominator, and None (no battery) to inf. A float is a dyadic rational,
+    so float mode is exact too."""
+    pairs = [(math.inf, 1) if v is None else v.as_integer_ratio() for v in values]
+    den = math.lcm(*(d for _, d in pairs))
+    return [p * (den // d) for p, d in pairs]
 
 
-def _scaled_ints(values):
-    """Map positive Fractions (or floats) to integers by a common denominator."""
-    if isinstance(values[0], Fraction):
-        den = math.lcm(*(v.denominator for v in values))
-        return [int(v * den) for v in values], den
-    return list(values), 1  # float mode: keep floats, comparisons approximate
+def _last_finish(vec, lengths, speeds):
+    """(load, speed) of a machine that finishes last under the assignment
+    vector vec (job i on machine vec[i])."""
+    loads = [0] * len(speeds)
+    for i, j in enumerate(vec):
+        loads[j] += lengths[i]
+    top, top_v = 0, 1
+    for load, v in zip(loads, speeds):
+        if load * top_v > top * v:
+            top, top_v = load, v
+    return top, top_v
 
 
-def _greedy_upper_bound(lengths, speeds, eligible, m):
-    """A quick valid schedule (jobs in id order, earliest finish) whose
-    makespan seeds the branch-and-bound prune. Independent of the LPT code."""
-    loads = [0] * m
-    worst_num, worst_den = 0, 1
-    for i, l in enumerate(lengths):
-        best, bn, bd = None, None, None
-        for j in eligible[i]:
-            num, den = loads[j] + l, speeds[j]
-            if best is None or num * bd < bn * den:
-                best, bn, bd = j, num, den
-        loads[best] += l
-        if bn * worst_den > worst_num * bd:
-            worst_num, worst_den = bn, bd
-    return worst_num, worst_den
+def _fits(jobs, choices, lengths, twin, loads, caps, vec) -> bool:
+    """Depth-first search: place jobs[k] on a machine of choices[k], for
+    k = 0, 1, ... in turn, keeping every load within its cap. True once all
+    jobs are placed, with vec[i] the machine of job i; loads is restored.
+
+    Machine j is skipped while twin[j] < j carries the same load: swapping
+    the two machines' later jobs maps one subtree onto the other. The spare
+    room (room left on the machines that can still take the shortest job,
+    minus the length still to place) never falls below zero on a branch
+    that can be completed.
+    """
+    last = len(jobs)
+    shortest = min(map(lengths.__getitem__, jobs))
+
+    def place(k: int, spare: int) -> bool:
+        if k == last:
+            return True
+        i = jobs[k]
+        l = lengths[i]
+        for j in choices[k]:
+            load = loads[j]
+            room = caps[j] - load - l
+            if room < 0 or twin[j] < j and loads[twin[j]] == load:
+                continue
+            if room >= shortest:
+                rest = spare
+            elif room <= spare:
+                rest = spare - room  # j can take no further job
+            else:
+                continue
+            loads[j] = load + l
+            vec[i] = j
+            done = place(k + 1, rest)
+            loads[j] = load
+            if done:
+                return True
+        return False
+
+    rooms = [cap - load for cap, load in zip(caps, loads)]
+    spare = sum(r for r in rooms if r >= shortest) - sum(map(lengths.__getitem__, jobs))
+    return spare >= 0 and place(0, spare)
 
 
 def brute_force_opt(instance: Instance) -> Schedule:
-    """Exact minimum-makespan schedule by exhaustive enumeration.
+    """Exact minimum-makespan schedule: among the optimal assignment vectors
+    (job i on machine v[i]), the lexicographically smallest.
 
-    Jobs are branched in id order so the first optimum found is the
-    lexicographically smallest assignment vector; partial makespans prune the
-    search. Guarded to m^n <= 10^8 raw assignments.
+    One exact depth-first search, used in two passes. Lengths, speeds and
+    batteries are scaled to integers by one common denominator (floats too:
+    a float is a dyadic rational, so float mode is searched exactly, without
+    a tolerance), and a bound on the makespan becomes an integer cap on each
+    machine's load.
+
+    * Value pass: jobs are branched longest first, each over its machines
+      fastest first. A greedy schedule in the same order (earliest finish,
+      the first such machine on ties) seeds the bound. The search then looks
+      for a schedule strictly below the bound, so ties prune as well as
+      losses, and starts again below each one it finds until none is left.
+    * Vector pass: starting from that optimal witness, jobs are fixed in id
+      order. Job i tries only the machines below the witness's machine, in
+      id order, each checked by a longest-first completion search within the
+      optimum. The first that passes, with its completion, becomes the new
+      witness; if none does, job i keeps the witness's machine.
+
+    Identical machines: both passes skip machine j while the last machine
+    before j with the same speed and battery (USP and DWP only) carries the
+    same load. Guarded to m^n <= 10^8 raw assignments.
     """
     if not feasibility_check(instance):
         raise InfeasibleError("instance has no valid schedule")
@@ -117,48 +170,68 @@ def brute_force_opt(instance: Instance) -> Schedule:
     if m ** n > BRUTE_FORCE_GUARD:
         raise SizeGuardError(f"m^n = {m}^{n} exceeds the {BRUTE_FORCE_GUARD:g} guard")
 
-    eligible = _eligible_lists(instance)
-    lengths, _ = _scaled_ints(list(instance.lengths))
-    speeds, _ = _scaled_ints(list(instance.speeds))
-    # finish(j) = loads[j] / speeds[j]; all comparisons cross-multiply.
+    scaled = _exact_ints(instance.lengths + instance.speeds + instance.batteries)
+    lengths, speeds, batteries = scaled[:n], scaled[n:n + m], scaled[n + m:]
+    # each job's machines, fastest first (lowest id among equal speeds)
+    by_speed = sorted(range(m), key=speeds.__getitem__, reverse=True)
+    if instance.kind is Kind.RESTRICTED:
+        eligible = [[j for j in by_speed if j in machines] for machines in instance.eligibility]
+    elif instance.kind is Kind.USP:
+        eligible = [by_speed] * n
+    else:
+        eligible = [[j for j in by_speed if l <= batteries[j]] for l in lengths]
+    # twin[j]: the last machine before j with the same speed and battery, or
+    # j itself if there is none (always for RESTRICTED instances)
+    last_of = {}
+    twin = []
+    for j in range(m):
+        key = j if instance.kind is Kind.RESTRICTED else (speeds[j], batteries[j])
+        twin.append(last_of.get(key, j))
+        last_of[key] = j
 
-    best_num, best_den = _greedy_upper_bound(lengths, speeds, eligible, m)
-    best_vec: Optional[list] = None
+    # greedy seed: longest job first, on the machine that finishes it first
+    order = sorted(range(n), key=lengths.__getitem__, reverse=True)
     loads = [0] * m
     vec = [0] * n
-
-    def dfs(i: int, cur_num: int, cur_den: int) -> None:
-        nonlocal best_num, best_den, best_vec
-        if i == n:
-            # Pruning guarantees cur <= best here; record strict improvements,
-            # or the first equal-value leaf when only the seed bound exists.
-            if cur_num * best_den < best_num * cur_den:
-                best_num, best_den, best_vec = cur_num, cur_den, vec.copy()
-            elif best_vec is None:
-                best_vec = vec.copy()
-            return
+    for i in order:
         l = lengths[i]
+        best = None
         for j in eligible[i]:
-            num, den = loads[j] + l, speeds[j]
-            if num * cur_den > cur_num * den:
-                new_num, new_den = num, den
-            else:
-                new_num, new_den = cur_num, cur_den
-            # prune: worse than the incumbent, or ties it once one is recorded
-            cmp = new_num * best_den - best_num * new_den
-            if cmp > 0 or (cmp == 0 and best_vec is not None):
-                continue
-            loads[j] += l
-            vec[i] = j
-            dfs(i + 1, new_num, new_den)
-            loads[j] -= l
-        return
+            if best is None or (loads[j] + l) * speeds[best] < (loads[best] + l) * speeds[j]:
+                best = j
+        loads[best] += l
+        vec[i] = best
 
-    dfs(0, 0, 1)
-    if best_vec is None:
-        raise InfeasibleError("exhaustive search found no valid schedule")
+    # value pass. (load, v) finishes last; the cap on machine j (speed w) is
+    # the largest integer load that finishes before load / v here, and by it
+    # in the vector pass
+    choices = [eligible[i] for i in order]
+    load, v = _last_finish(vec, lengths, speeds)
+    while True:
+        trial = vec.copy()
+        caps = [(load * w - 1) // v for w in speeds]
+        if not _fits(order, choices, lengths, twin, [0] * m, caps, trial):
+            break
+        vec = trial
+        load, v = _last_finish(vec, lengths, speeds)
+
+    # vector pass: loads holds jobs 0..i-1 on their final machines
+    caps = [load * w // v for w in speeds]
+    loads = [0] * m
+    for i in range(n):
+        l = lengths[i]
+        below = [j for j in eligible[i] if j < vec[i] and loads[j] + l <= caps[j]]
+        if below:
+            below.sort()
+            free = [k for k in order if k > i]
+            trial = vec.copy()
+            if _fits([i] + free, [below] + [eligible[k] for k in free],
+                     lengths, twin, loads, caps, trial):
+                vec = trial
+        loads[vec[i]] += l
+
     assignment = [[] for _ in range(m)]
-    for i, j in enumerate(best_vec):
+    for i, j in enumerate(vec):
         assignment[j].append(i)
     return build_schedule(instance, assignment)
 

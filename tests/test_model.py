@@ -86,14 +86,6 @@ def test_feasibility_examples():
     assert feasibility_check(restricted([F(1)], [(F(5), {0})]))
 
 
-def test_eligible_machines():
-    inst = dwp([(F(1), F(10)), (F(2), F(4))], [F(6), F(4)])
-    assert inst.eligible_machines(0) == [0]
-    assert inst.eligible_machines(1) == [0, 1]
-    rin = restricted([F(1), F(2)], [(F(5), {1}), (F(3), {0, 1})])
-    assert rin.eligible_machines(0) == [1]
-
-
 def test_instance_validation_errors():
     with pytest.raises(UsageError):
         usp([F(0)], [F(1)])  # speed must be positive

@@ -5,7 +5,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from makespan import (InfeasibleError, SizeGuardError, UsageError,
+from makespan import (InfeasibleError, Instance, SizeGuardError, UsageError,
                       brute_force_opt, dwp_lpt, le_phi, makespan_lower_bound,
                       phi_bracket, ratio_report, round_r)
 from makespan.oracle import PHI
@@ -17,7 +17,11 @@ def exhaustive_opt(instance):
     """Independent oracle for the oracle: plain product enumeration, no
     pruning, explicit lexicographic tie handling."""
     best_span, best_vec = None, None
-    eligible = [instance.eligible_machines(i) for i in range(instance.n)]
+    if instance.eligibility is None:  # job i fits machine j iff l_i <= d_j
+        eligible = [[j for j, d in enumerate(instance.batteries) if d is None or l <= d]
+                    for l in instance.lengths]
+    else:
+        eligible = [sorted(machines) for machines in instance.eligibility]
     for vec in itertools.product(*eligible):
         loads = [F(0)] * instance.m
         for i, j in enumerate(vec):
@@ -28,16 +32,31 @@ def exhaustive_opt(instance):
     return best_span, best_vec
 
 
+def assignment_vector(sched, n):
+    vec = [None] * n
+    for j, jobs in enumerate(sched.assignment):
+        for i in jobs:
+            vec[i] = j
+    return tuple(vec)
+
+
+def exact_copy(instance):
+    """The same instance over the floats' exact Fraction values."""
+    return Instance(
+        kind=instance.kind,
+        speeds=tuple(map(F, instance.speeds)),
+        batteries=tuple(None if d is None else F(d) for d in instance.batteries),
+        lengths=tuple(map(F, instance.lengths)),
+    )
+
+
 def test_brute_force_graham(graham_instance):
     sched = brute_force_opt(graham_instance)
     assert sched.makespan == F(6)
     span, vec = exhaustive_opt(graham_instance)
     assert span == F(6)
-    got_vec = [None] * graham_instance.n
-    for j, jobs in enumerate(sched.assignment):
-        for i in jobs:
-            got_vec[i] = j
-    assert tuple(got_vec) == vec  # lexicographically smallest optimum
+    # lexicographically smallest optimum
+    assert assignment_vector(sched, graham_instance.n) == vec
 
 
 def test_brute_force_single_machine():
@@ -52,24 +71,65 @@ def test_brute_force_restricted_example():
     assert brute_force_opt(inst).makespan == F(101, 100)
 
 
+def random_machines(rng, m):
+    """m (speed, battery) pairs; each machine after the first repeats an
+    earlier one with probability 0.4."""
+    machines = [(F(rng.randint(1, 6)), F(rng.randint(1, 20))) for _ in range(m)]
+    for j in range(1, m):
+        if rng.random() < 0.4:
+            machines[j] = machines[rng.randrange(j)]
+    return machines
+
+
 def test_brute_force_matches_unpruned_enumeration():
     rng = random.Random(17)
-    for _ in range(150):
+    for case in range(300):
         m = rng.randint(1, 3)
-        n = rng.randint(1, 6)
-        machines = [(F(rng.randint(1, 6)), F(rng.randint(1, 20))) for _ in range(m)]
+        n = rng.randint(1, 7 if m < 3 else 6)
         lengths = [F(rng.randint(1, 20), rng.randint(1, 2)) for _ in range(n)]
+        if case % 3 == 0:  # equal-speed USP: every machine a twin of machine 0
+            inst = usp([F(rng.randint(1, 6))] * m, lengths)
+        else:
+            machines = random_machines(rng, m)
+            if max(d for _, d in machines) < max(lengths):
+                machines[0] = (machines[0][0], max(lengths))
+            inst = dwp(machines, lengths)
+        sched = brute_force_opt(inst)
+        span, vec = exhaustive_opt(inst)
+        assert sched.makespan == span
+        assert assignment_vector(sched, n) == vec
+
+
+def test_brute_force_float_mode_is_exact():
+    """Float mode searches the floats' exact values: the same vector as the
+    unpruned enumeration over their Fraction equivalents."""
+    rng = random.Random(43)
+    for case in range(150):
+        m = rng.randint(1, 3)
+        n = rng.randint(1, 7 if m < 3 else 6)
+        lengths = [rng.randint(100, 9000) / 100 for _ in range(n)]
+        machines = [(rng.randint(100, 600) / 100, rng.randint(100, 9000) / 100)
+                    for _ in range(m)]
+        if case % 2:
+            machines[-1] = machines[0]
         if max(d for _, d in machines) < max(lengths):
             machines[0] = (machines[0][0], max(lengths))
         inst = dwp(machines, lengths)
         sched = brute_force_opt(inst)
-        span, vec = exhaustive_opt(inst)
-        assert sched.makespan == span
-        got_vec = [None] * n
-        for j, jobs in enumerate(sched.assignment):
-            for i in jobs:
-                got_vec[i] = j
-        assert tuple(got_vec) == vec
+        _, vec = exhaustive_opt(exact_copy(inst))
+        assert assignment_vector(sched, n) == vec
+
+
+def test_brute_force_float_seed_already_optimal():
+    """gen --family uniform-dwp --n 7 --m 2 --seed 733: the greedy seed
+    250.65/3.13 is optimal; float search once rejected it by rounding."""
+    inst = dwp([(3.13, 90.13), (3.31, 34.88)],
+               [23.98, 90.13, 26.15, 73.27, 21.11, 37.18, 50.07])
+    sched = brute_force_opt(inst)
+    assert sched.assignment == ((1, 3, 5, 6), (0, 2, 4))
+    assert sched.makespan == (90.13 + 73.27 + 37.18 + 50.07) / 3.13
+    _, vec = exhaustive_opt(exact_copy(inst))
+    assert assignment_vector(sched, inst.n) == vec
 
 
 def test_brute_force_float_mode_agrees():
