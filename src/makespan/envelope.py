@@ -1,14 +1,12 @@
 """Dynamic minimum of lines under a moving query point: batched insert,
-delete, point-minimum query, and the fused LPT step raise_min with its run
-form raise_each.
+delete, point-minimum query, and raise_each, a run of LPT steps.
 
 Lines are y = slope*x + intercept, one per owner id. query_min(x) returns the
 stored line minimizing its value at x under the canonical tie rule: least
-value, then least slope, then least owner id. raise_min(x) is one LPT step:
-it finds that line and sets its intercept to its value at x. raise_each(xs)
-takes those steps at each x in turn in one call; all three run one loop, so
-a run of LPT steps pays the call, the state loads and the counter updates
-once.
+value, then least slope, then least owner id. raise_each(xs) takes one LPT
+step at each x in turn: it finds that line and sets its intercept to its
+value at x. Both run one loop, so a run of LPT steps pays the call, the
+state loads and the counter updates once.
 
 The structure is a kinetic tournament (Basch, Guibas & Hershberger, "Data
 structures for mobile data", J. Algorithms 31, 1999) over per-slope buckets:
@@ -29,8 +27,8 @@ structures for mobile data", J. Algorithms 31, 1999) over per-slope buckets:
   batch (lpt-fast admits every machine in one) thus lays the whole row out
   by slope: each subtree covers a contiguous slope range, so as x falls its
   winner seldom changes away from the raised leaf's path;
-* at most one leaf is pending: its minimum changed (a delete or raise_min
-  of its winner) and its path to the root is stale. The next query replays
+* at most one leaf is pending: its minimum changed (a delete or a raise of
+  its winner) and its path to the root is stale. The next query replays
   that path at the query's own x, walking up from the leaf; a sibling whose
   certificate x breaks is repaired first, so no node on the path is
   replayed twice. With nothing pending a query replays only the nodes whose
@@ -49,12 +47,15 @@ A query at a new x also replays every node whose certificate failed, so
 queries at arbitrary points have no logarithmic bound. The LPT pattern
 (query points that only shrink, one raised line per query) has a measured
 one: tests/test_envelope.py holds node replays per job, queries and updates
-together, under 1.5 per level of ceil(log2 S) at m = 100 to 4000 machines
-and n = 10m jobs, and under 1.1 for lpt-fast with distinct speeds. Measured
-per level at m = 100, 800, 2000, 4000: 0.97, 0.98, 1.02, 1.02 for lpt-fast
-(1.08 to 1.22 with leaves in machine-id order) and 0.77, 0.83, 0.85, 0.86
-for dwp-lpt with distinct speeds; 0.95, 0.78, 0.49, 0.28 for lpt-fast on 301
-shared slopes, where buckets fill and the rival check answers most queries.
+together, under 1.1 per level of ceil(log2 S) at m = 100 to 4000 machines
+and n = 10m jobs. Measured per level at m = 100, 800, 2000, 4000: 0.97,
+0.98, 1.02, 1.02 for lpt-fast with distinct speeds (1.08 to 1.22 with
+leaves in machine-id order) and 0.77, 0.83, 0.85, 0.86 for dwp-lpt with
+distinct speeds; 0.95, 0.78, 0.49, 0.28 for lpt-fast on 301 shared slopes,
+where buckets fill and the rival check answers most queries. Without the
+rival those last read 0.95, 0.91, 0.91, 0.91, and lpt-fast on 301 slopes
+ran faster up to m = 2000 but 1.38x slower at m = 8000 and 1.1 to 1.5x
+slower at n = 10**6, m = 10**5 (see README).
 """
 
 from __future__ import annotations
@@ -169,22 +170,16 @@ class LowerEnvelope:
         owners, values = self._steps((x,), False)
         return owners[0], values[0]
 
-    def raise_min(self, x: Scalar):
-        """One LPT step: find the minimal line at x >= 0 as query_min does,
-        set its intercept to its value there, and return (owner, value).
+    def raise_each(self, xs):
+        """One LPT step at each x >= 0 of the sequence xs in turn: find the
+        minimal line at x as query_min does and set its intercept to its
+        value there. Returns the lists (owners, values).
 
-        This leaves the envelope, counters included, as query_min(x),
+        Each step leaves the envelope, counters included, as query_min(x),
         delete(owner) and insert(Line(slope, value, owner)) would: it counts
         one query, one delete and one insert, and leaves the raised leaf
         pending.
         """
-        owners, values = self._steps((x,), True)
-        return owners[0], values[0]
-
-    def raise_each(self, xs):
-        """raise_min at each x of the sequence xs in turn, in one call;
-        returns the lists (owners, values). The answers, counters and lines
-        are those of one raise_min call per x."""
         return self._steps(xs, True)
 
     def breakpoints(self):

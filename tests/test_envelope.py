@@ -12,6 +12,12 @@ from makespan import (GenSpec, Line, LowerEnvelope, Mode, UsageError, dwp_lpt,
 from conftest import linear_scan_min
 
 
+def raise_one(env, x):
+    """One LPT step at x, as a one-point raise_each: (owner, value)."""
+    owners, values = env.raise_each([x])
+    return owners[0], values[0]
+
+
 def four_line_envelope():
     env = LowerEnvelope()
     env.insert(Line(F(-1), F(4), 1))  # L1: y = -x + 4
@@ -287,8 +293,11 @@ def test_lpt_distinct_speeds_one_path_replay_per_job(m):
     (lpt_fast, "uniform-usp", {}),  # speeds 1..4 on a 1/100 grid: 301 shared slopes
 ], ids=["dwp-distinct", "usp-shared"])
 def test_lpt_replays_within_depth(scheduler, family, options, m):
+    # At most one path replay per step, plus rare off-path repairs:
+    # measured 0.77-0.86 per level (dwp-distinct) and 0.28-0.95 (usp-shared,
+    # where the rival check skips most replays once buckets fill).
     spec = GenSpec(family=family, n=10 * m, m=m, seed=m, **options)
-    assert replays_per_level(scheduler, spec) <= 1.5
+    assert replays_per_level(scheduler, spec) <= 1.1
 
 
 def test_single_slope_lpt_makes_no_comparisons():
@@ -343,9 +352,10 @@ def test_same_slope_runs_with_side_updates_match_oracle():
 @pytest.mark.parametrize("mode", ["f64", "rational"])
 @pytest.mark.parametrize("slopes", [3, 40, 400])
 def test_raise_min_matches_query_delete_insert(mode, slopes):
-    # raise_min must leave the envelope as the query/delete/insert triple
-    # would: same answers and same counters at every step, including while
-    # a leaf is pending, a rival is cached, or machines are still admitted.
+    # A one-point raise_each must leave the envelope as the query/delete/
+    # insert triple would: same answers and same counters at every step,
+    # including while a leaf is pending, a rival is cached, or machines are
+    # still admitted.
     rng = random.Random(slopes)
     num = float if mode == "f64" else F
     lines = [Line(1 / num(rng.randint(1, slopes)), num(0), j) for j in range(60)]
@@ -360,7 +370,7 @@ def test_raise_min_matches_query_delete_insert(mode, slopes):
             fused.insert(lines[admitted])
             split.insert(lines[admitted])
             admitted += 1
-        got = fused.raise_min(x)
+        got = raise_one(fused, x)
         owner, value = split.query_min(x)
         split.delete(owner)
         split.insert(Line(lines[owner].slope, value, owner))
@@ -370,7 +380,7 @@ def test_raise_min_matches_query_delete_insert(mode, slopes):
 
 
 def test_raise_min_mixed_with_updates_matches_oracle():
-    # LPT steps through raise_min, mixed with inserts (some below the winner
+    # One-point LPT steps, mixed with inserts (some below the winner
     # on its own slope) and deletes, checked against the linear scan.
     rng = random.Random(23)
     env = LowerEnvelope()
@@ -387,7 +397,7 @@ def test_raise_min_mixed_with_updates_matches_oracle():
         if roll < 0.6:
             x = max(x - F(rng.randint(0, 3), 5), F(0))
             want_owner, want_value = linear_scan_min(env, x)
-            assert env.raise_min(x) == (want_owner, want_value), step
+            assert raise_one(env, x) == (want_owner, want_value), step
             raised = {line.owner: line.intercept for line in env.lines()}
             assert raised[want_owner] == want_value
             if rng.random() < 0.2:  # a lower line joins the winner's slope
@@ -410,7 +420,7 @@ def test_raise_min_mixed_with_updates_matches_oracle():
 @pytest.mark.parametrize("slopes", [3, 5, 6, 7, 100, 287])
 def test_batched_admission_then_mixed_ops_match_oracle(slopes):
     # One batch admits every slope, so the leaf row holds exactly `slopes`
-    # leaves, mostly not a power of two. Random raise_min, query_min (x
+    # leaves, mostly not a power of two. Random LPT steps, queries (x
     # rising as well as falling), batched inserts and deletes follow, each
     # checked against the linear scan and the invariants; last, single
     # inserts of new slopes grow the row past its exact size.
@@ -429,7 +439,7 @@ def test_batched_admission_then_mixed_ops_match_oracle(slopes):
         if roll < 0.4:
             x = max(F(0), x - F(rng.randint(0, 9), 4))
             want = linear_scan_min(env, x)
-            assert env.raise_min(x) == want, step
+            assert raise_one(env, x) == want, step
         elif roll < 0.6:
             x = max(F(0), x + F(rng.randint(-9, 9), 4))
             assert env.query_min(x) == linear_scan_min(env, x), step
@@ -451,7 +461,7 @@ def test_batched_admission_then_mixed_ops_match_oracle(slopes):
         env.check_invariants()
         x = max(F(0), x - F(rng.randint(0, 9), 4))
         want = linear_scan_min(env, x)
-        assert env.raise_min(x) == want
+        assert raise_one(env, x) == want
         env.check_invariants()
 
 
@@ -474,19 +484,19 @@ def run_start_state(env, start, num, slopes):
     env.insert(*(Line(s, num(0), j) for j, s in enumerate(inv)))
     x = num(5000) / 7
     for _ in range(25):
-        env.raise_min(x)
+        raise_one(env, x)
         x -= num(3) / 7
     if start == "pending-delete":
         env.delete(env.query_min(x)[0])
         assert env._dirty is not None
     elif start == "insert-below-pending":
-        owner, _ = env.raise_min(x)
+        owner, _ = raise_one(env, x)
         env.insert(Line(inv[owner], num(-1), 60))  # below every line of the pending leaf
     elif start == "cached-rival":
         env.insert(Line(inv[0], num(-2), 60))  # far below the loads: it keeps winning
         x /= 1000
         for _ in range(50):
-            env.raise_min(x)
+            raise_one(env, x)
             if env._rival is not None:
                 break
         assert env._rival is not None
@@ -499,7 +509,8 @@ def run_start_state(env, start, num, slopes):
                                    "cached-rival", "empty-run"])
 def test_raise_each_matches_raise_min_steps(mode, slopes, start):
     # One raise_each call must give the answers, counters and lines that
-    # raise_min at each point in turn gives, whatever state the run starts in.
+    # one-point calls at each point in turn give, whatever state the run
+    # starts in.
     num = float if mode == "f64" else F
     run, steps = LowerEnvelope(), LowerEnvelope()
     x = run_start_state(run, start, num, slopes)
@@ -507,7 +518,7 @@ def test_raise_each_matches_raise_min_steps(mode, slopes, start):
     assert run.counters == steps.counters
     xs = [] if start == "empty-run" else [x * (400 - k) / 400 for k in range(400)]
     owners, values = run.raise_each(xs)
-    assert list(zip(owners, values)) == [steps.raise_min(x) for x in xs]
+    assert list(zip(owners, values)) == [raise_one(steps, x) for x in xs]
     assert run.counters == steps.counters
     assert sorted(run.lines()) == sorted(steps.lines())
     if mode == "rational":  # the check compares by value: exact only here
@@ -518,10 +529,10 @@ def test_raise_each_stops_at_a_bad_point_after_the_steps_before_it():
     run, steps = four_line_envelope(), four_line_envelope()
     with pytest.raises(UsageError):
         run.raise_each([F(5), F(4), F(-1), F(3)])
-    steps.raise_min(F(5))
-    steps.raise_min(F(4))
+    raise_one(steps, F(5))
+    raise_one(steps, F(4))
     with pytest.raises(UsageError):
-        steps.raise_min(F(-1))
+        raise_one(steps, F(-1))
     assert run.counters == steps.counters
     assert sorted(run.lines()) == sorted(steps.lines())
     run.check_invariants()

@@ -98,6 +98,32 @@ def test_fast_matches_naive_equal_speeds_float(n):
         assert decisions(lpt_fast(inst)) == decisions(lpt_naive(inst)), f"seed {seed}"
 
 
+def test_fast_matches_naive_deep_buckets():
+    # Few speeds with many machines on each (5 speeds, 12 machines per
+    # speed): one slope often wins job after job, so the envelope's rival
+    # check answers many steps in place of a path replay.
+    for seed in range(10):
+        inst = generate(GenSpec(family="uniform-usp", n=300, m=60, seed=seed,
+                                speed_range=(F(1), F(2)), grid=4), Mode.RATIONAL)
+        fast, naive = lpt_fast(inst), lpt_naive(inst)
+        assert decisions(fast) == decisions(naive), f"seed {seed}"
+        assert fast.schedule == naive.schedule, f"seed {seed}"
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+def test_fast_matches_naive_deep_buckets_float(n):
+    # Deep buckets in float mode on speeds 1, 2, 4 and 8 with lengths on a
+    # 1/4 grid, where every finish time and crossing is exact, so the two
+    # schedulers must agree. With speeds such as 1.25 or 1.5 they need not:
+    # lpt-naive compares rounded finish times and the tournament rounded
+    # crossings (ROADMAP, float decision rule).
+    for seed in range(10):
+        rng = random.Random(seed)
+        speeds = [float(2 ** rng.randrange(4)) for _ in range(60)]
+        inst = usp(speeds, [rng.randint(4, 400) / 4 for _ in range(n)])
+        assert decisions(lpt_fast(inst)) == decisions(lpt_naive(inst)), f"seed {seed}"
+
+
 def test_fast_envelope_counter_identity():
     inst = generate(GenSpec(family="uniform-usp", n=50, m=7, seed=1), Mode.RATIONAL)
     c = lpt_fast(inst).counters
