@@ -22,12 +22,13 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import truediv
 from typing import Optional
 
 from .errors import UsageError
 from .model import Instance, Kind
 from .numeric import Mode, Scalar, scalar_to_str
-from .oracle import le_phi, phi_bracket, ratio_report
+from .oracle import PHI, le_phi, ratio_report
 from .scheduler import run_scheduler
 
 FAMILIES = (
@@ -91,26 +92,20 @@ def generate(spec: GenSpec, mode: Mode = Mode.RATIONAL) -> Instance:
     """
     rng = random.Random(spec.seed)
     g = spec.grid
+    batteries_k = None
 
     if spec.family == "graham-43":
-        exact = {
-            "speeds": [Fraction(1), Fraction(1)],
-            "lengths": [Fraction(3)] * 2 + [Fraction(2)] * 3,
-        }
-        batteries_k = None
+        g = 1
+        speeds_k, lengths_k = [1, 1], [3] * 2 + [2] * 3
         kind, eligibility = Kind.USP, None
     elif spec.family == "paper-4.3":
         if spec.eps <= 0:
             raise UsageError("paper-4.3 needs eps > 0")
-        exact = {
-            "speeds": [Fraction(10), Fraction(10) + spec.eps],
-            "lengths": [Fraction(10), Fraction(10) + spec.eps],
-        }
-        batteries_k = None
+        g = spec.eps.denominator
+        speeds_k = lengths_k = [10 * g, 10 * g + spec.eps.numerator]
         kind = Kind.RESTRICTED
         eligibility = (frozenset({1}), frozenset({0, 1}))
     else:
-        exact = None
         kind = Kind.DWP if spec.family == "uniform-dwp" else Kind.USP
         eligibility = None
 
@@ -147,33 +142,15 @@ def generate(spec: GenSpec, mode: Mode = Mode.RATIONAL) -> Instance:
             if max(batteries_k) < longest:
                 roomiest = max(range(spec.m), key=lambda j: (batteries_k[j], -j))
                 batteries_k[roomiest] = longest
-        else:
-            batteries_k = None
 
-    if exact is not None:
-        if mode is Mode.RATIONAL:
-            speeds = list(exact["speeds"])
-            lengths = list(exact["lengths"])
-        else:
-            speeds = [float(v) for v in exact["speeds"]]
-            lengths = [float(l) for l in exact["lengths"]]
-        batteries = [None] * len(speeds)
-    elif mode is Mode.RATIONAL:
-        speeds = [Fraction(k, g) for k in speeds_k]
-        lengths = [Fraction(k, g) for k in lengths_k]
-        batteries = ([None] * spec.m if batteries_k is None
-                     else [Fraction(k, g) for k in batteries_k])
-    else:
-        speeds = [k / g for k in speeds_k]
-        lengths = [k / g for k in lengths_k]
-        batteries = ([None] * spec.m if batteries_k is None
-                     else [k / g for k in batteries_k])
-
+    # tuple(map(...)) in place of these lists raised verify-exact's peak RSS by 0.4 MB
+    scale = Fraction if mode is Mode.RATIONAL else truediv
     return Instance(
         kind=kind,
-        speeds=tuple(speeds),
-        batteries=tuple(batteries),
-        lengths=tuple(lengths),
+        speeds=tuple([scale(k, g) for k in speeds_k]),
+        batteries=((None,) * len(speeds_k) if batteries_k is None
+                   else tuple([scale(k, g) for k in batteries_k])),
+        lengths=tuple([scale(k, g) for k in lengths_k]),
         eligibility=eligibility,
     )
 
@@ -279,10 +256,7 @@ class SweepResult:
         if self.bound is None:
             bound_float = None
         elif self.bound == "phi":
-            # decisions use the exact x^2 <= x + 1 test; the convergent
-            # bracket is only for human-readable reporting
-            lo, hi = phi_bracket(Fraction(1, 10 ** 12))
-            bound_float = float((lo + hi) / 2)
+            bound_float = PHI  # for reading only: decisions use the exact le_phi
         else:
             bound_float = float(self.bound)
         return {
@@ -349,21 +323,17 @@ def ratio_sweep(family: str, count: int, algorithm: Optional[str] = None,
     # the fork start method starts every worker at once: one per CPU at most
     threads = min(threads, count, os.cpu_count() or 1)
 
-    if threads == 1:
-        result = _sweep_chunk((family, algorithm, seed, 0, count,
-                               n_max, m_max, bound, eps, distinct_speeds))
-        result.count = count
-        return result
-
     step = -(-count // threads)
     chunks = [(family, algorithm, seed, lo, min(lo + step, count),
                n_max, m_max, bound, eps, distinct_speeds)
               for lo in range(0, count, step)]
-    try:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(_sweep_chunk, chunks))
-    except OSError:
-        parts = [_sweep_chunk(chunk) for chunk in chunks]
+    parts = map(_sweep_chunk, chunks)  # lazy: the merge runs them unless a pool does
+    if threads > 1:
+        try:
+            with ProcessPoolExecutor(max_workers=threads) as pool:
+                parts = list(pool.map(_sweep_chunk, chunks))
+        except OSError:
+            pass  # no worker processes
 
     result = SweepResult(family, algorithm, count, bound)
     for part in parts:  # chunk order is deterministic, so the merge is too

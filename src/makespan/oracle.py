@@ -38,24 +38,6 @@ def lt_phi(x: Scalar) -> bool:
     return x < PHI
 
 
-def phi_bracket(tolerance: Fraction = Fraction(1, 10 ** 12)):
-    """A rational interval (lo, hi) with lo < phi < hi and hi - lo <= tolerance.
-
-    Consecutive Fibonacci quotients F(k+1)/F(k) alternate around phi; used
-    only for human-readable reporting, never for decisions.
-    """
-    a, b = 1, 2  # F(2), F(3)
-    lo, hi = Fraction(1), Fraction(2)
-    while hi - lo > tolerance:
-        a, b = b, a + b
-        q = Fraction(b, a)
-        if q * q <= q + 1:
-            lo = q
-        else:
-            hi = q
-    return lo, hi
-
-
 def round_r(x: Scalar) -> Scalar:
     """Half-integral rounding: 1 on [1, phi), 3/2 on [phi, 2), floor(x) above.
 

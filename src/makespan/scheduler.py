@@ -210,11 +210,11 @@ def lpt_fast(instance: Instance, record_trace: bool = True) -> LptTrace:
     each subtree covers one contiguous speed range; all n jobs are one run,
     placed by ``LowerEnvelope.raise_each`` in chunks of at most ``_CHUNK``
     jobs, one LPT step each. The counters report the tournament's
-    node replays: tests/test_envelope.py holds them under 1.5x ceil(log2 S)
+    node replays: tests/test_envelope.py holds them under 1.1x ceil(log2 S)
     per job for S distinct speeds and m = 100 to 4000, with distinct or
-    shared speeds, and under 1.1x with distinct speeds (measured 0.97 to
-    1.02x, about one leaf-to-root path per job). In rational mode the
-    assignment is identical to lpt_naive decision for decision.
+    shared speeds (measured 0.97 to 1.02x with distinct speeds, about one
+    leaf-to-root path per job). In rational mode the assignment is
+    identical to lpt_naive decision for decision.
     """
     if instance.kind is not Kind.USP:
         raise UsageError("lpt_fast expects a USP instance")

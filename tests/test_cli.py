@@ -8,7 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from makespan import GenSpec, Mode, ParseError, generate, write_instance
+from makespan import PHI, GenSpec, Mode, ParseError, generate, write_instance
 from makespan.cli import main, parse_instance_text
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
@@ -256,6 +256,7 @@ def test_verify_dwp_phi_small(tmp_path, capsys, monkeypatch):
     assert code == 0
     payload = json.loads(out.read_text(encoding="utf-8"))
     validate_schema(payload, "sweep.schema.json")
+    assert payload["bound_float"] == PHI  # the nearest double to phi
 
 
 # -- bench ------------------------------------------------------------------------

@@ -7,8 +7,7 @@ import pytest
 
 from makespan import (InfeasibleError, Instance, SizeGuardError, UsageError,
                       brute_force_opt, dwp_lpt, le_phi, makespan_lower_bound,
-                      phi_bracket, ratio_report, round_r)
-from makespan.oracle import PHI
+                      ratio_report, round_r)
 
 from conftest import dwp, restricted, usp
 
@@ -201,14 +200,6 @@ def test_le_phi_exact_cases():
     assert le_phi(F(987, 610))      # Fibonacci convergent below
     assert not le_phi(F(1597, 987))  # Fibonacci convergent above
     assert le_phi(1.6) and not le_phi(1.62)
-
-
-def test_phi_bracket_tightens():
-    lo, hi = phi_bracket(F(1, 10 ** 9))
-    assert hi - lo <= F(1, 10 ** 9)
-    assert lo * lo < lo + 1          # lo < phi
-    assert hi * hi > hi + 1          # hi > phi
-    assert abs(float(lo) - PHI) < 1e-9
 
 
 def test_round_r_cases():
