@@ -34,10 +34,21 @@ def parse_instance_text(text: str, mode: Mode) -> Instance:
 
     Raises ParseError with a 1-based line/column diagnostic on any defect.
     """
-    rows = [(lineno, line) for lineno, line in enumerate(text.splitlines(), 1)
+    lines = text.splitlines()
+    try:
+        return _convert_blocks(lines, mode)
+    except (ValueError, ZeroDivisionError):  # UsageError is a ValueError
+        pass  # the row scan below finds the defect in file order, or accepts
+        # comments, blank lines, RESTRICTED and the f64 'p/q' tokens
+    rows = [(lineno, line) for lineno, line in enumerate(lines, 1)
             if line.strip() and not line.lstrip().startswith("#")]
     if not rows:
         raise ParseError("empty instance file", 1)
+    if len(rows) < len(lines):  # comments or blank lines left out: the blocks again
+        try:
+            return _convert_blocks([line for _, line in rows], mode)
+        except (ValueError, ZeroDivisionError):
+            pass
 
     def fail(lineno, line, token, message):
         col = line.find(token) + 1 if token and token in line else 1
@@ -71,13 +82,6 @@ def parse_instance_text(text: str, mode: Mode) -> Instance:
     if len(rows) != 1 + m + n:
         raise ParseError(f"expected {1 + m + n} data lines for m={m}, n={n}, "
                          f"found {len(rows)}", rows[-1][0])
-
-    if kind is not Kind.RESTRICTED:
-        try:
-            return _convert_blocks(kind, mode, [line for _, line in rows[1:]], m)
-        except (ValueError, ZeroDivisionError):  # UsageError is a ValueError
-            pass  # the value-by-value scan below finds the defect in file
-            # order, or accepts the f64 'p/q' tokens that float() refuses
 
     speeds, batteries, lengths, eligibility = [], [], [], []
     for lineno, line in rows[1:1 + m]:
@@ -130,20 +134,30 @@ def parse_instance_text(text: str, mode: Mode) -> Instance:
     )
 
 
-def _convert_blocks(kind: Kind, mode: Mode, lines: list, m: int) -> Instance:
-    """The USP/DWP machine and job blocks, each converted in one pass;
-    ``Instance`` checks the values. Raises on any defect without saying where."""
+def _convert_blocks(lines: list, mode: Mode) -> Instance:
+    """A USP or DWP text whose lines are its header and data lines, with no
+    comment or blank line; each block is converted in one pass and
+    ``Instance`` checks the values. Raises on any defect without saying where.
+    float() and Fraction() take the whitespace around a token, and refuse a
+    line of two tokens, a blank line and a comment."""
+    if not lines:
+        raise ValueError("no header")
+    kind_name, m_text, n_text = lines[0].split()
+    kind, m, n = Kind(kind_name), int(m_text), int(n_text)
+    if kind is Kind.RESTRICTED or m < 1 or n < 1 or len(lines) != 1 + m + n:
+        raise ValueError("not a USP or DWP text of 1 + m + n lines")
     convert = Fraction if mode is Mode.RATIONAL else float
-    machines = list(map(str.split, lines[:m]))
-    jobs = list(map(str.split, lines[m:]))
-    if (set(map(len, machines)) != {2 if kind is Kind.DWP else 1}
-            or set(map(len, jobs)) != {1}):
-        raise ValueError("a line has the wrong number of fields")
-    speeds = tuple(map(convert, map(itemgetter(0), machines)))
-    batteries = (tuple(map(convert, map(itemgetter(1), machines)))
-                 if kind is Kind.DWP else (None,) * m)
+    if kind is Kind.DWP:
+        machines = list(map(str.split, lines[1:1 + m]))
+        if set(map(len, machines)) != {2}:
+            raise ValueError("a DWP machine line has the wrong number of fields")
+        speeds = tuple(map(convert, map(itemgetter(0), machines)))
+        batteries = tuple(map(convert, map(itemgetter(1), machines)))
+    else:
+        speeds = tuple(map(convert, lines[1:1 + m]))
+        batteries = (None,) * m
     return Instance(kind=kind, speeds=speeds, batteries=batteries,
-                    lengths=tuple(map(convert, map(itemgetter(0), jobs))))
+                    lengths=tuple(map(convert, lines[1 + m:])))
 
 
 # -- flag helpers ---------------------------------------------------------------

@@ -7,7 +7,7 @@ and seed always produce byte-identical output.
 
 The draw order is the byte-stability contract: ``generate`` seeds one
 ``random.Random`` per spec and draws speeds, then lengths, then batteries,
-each with ``randint`` over the range's grid points (or ``sample`` for
+each as ``randint`` draws over the range's grid points (or ``sample`` for
 distinct speeds). Any change to that sequence or to its bounds changes every
 generated file; tests/test_gen_bench.py pins a digest over all families.
 """
@@ -22,12 +22,13 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import repeat
 from operator import truediv
 from typing import Optional
 
 from .errors import UsageError
 from .model import Instance, Kind
-from .numeric import Mode, Scalar, scalar_to_str
+from .numeric import Mode, scalar_to_str
 from .oracle import PHI, le_phi, ratio_report
 from .scheduler import run_scheduler
 
@@ -89,6 +90,11 @@ def generate(spec: GenSpec, mode: Mode = Mode.RATIONAL) -> Instance:
 
     Draws happen in integer grid units and are materialized per mode at the
     end, so both modes see the same abstract instance for a given spec.
+
+    Byte contract: the instance is fixed by the draw order (speeds, lengths,
+    batteries) and ``randint``'s stream, reproduced in batches of
+    ``getrandbits`` calls with randint's own rejection rule.
+    ``test_generated_bytes_pinned`` pins the bytes on CPython 3.10-3.12.
     """
     rng = random.Random(spec.seed)
     g = spec.grid
@@ -110,10 +116,18 @@ def generate(spec: GenSpec, mode: Mode = Mode.RATIONAL) -> Instance:
         eligibility = None
 
         def draws(bounds, count):
-            # the grid bounds once per range; then `count` randint calls
+            # `count` randint(lo_i, hi_i) values, drawn in batches: randint
+            # takes getrandbits(k), k = width.bit_length(), until r < width.
+            # Each accepted value takes a draw, so a batch of as many draws
+            # as values are missing never reads past randint's last draw.
             lo_i, hi_i = _grid_points(*bounds, g)
-            randint = rng.randint
-            return [randint(lo_i, hi_i) for _ in range(count)]
+            width = hi_i - lo_i + 1
+            bits = width.bit_length()
+            values = []
+            while len(values) < count:
+                batch = map(rng.getrandbits, repeat(bits, count - len(values)))
+                values.extend(map(lo_i.__add__, filter(width.__gt__, batch)))
+            return values
 
         if spec.family == "equal-speed":
             speeds_k = draws(spec.speed_range, 1) * spec.m
@@ -143,25 +157,25 @@ def generate(spec: GenSpec, mode: Mode = Mode.RATIONAL) -> Instance:
                 roomiest = max(range(spec.m), key=lambda j: (batteries_k[j], -j))
                 batteries_k[roomiest] = longest
 
-    # tuple(map(...)) in place of these lists raised verify-exact's peak RSS by 0.4 MB
     scale = Fraction if mode is Mode.RATIONAL else truediv
+
+    def scaled(values_k):
+        # tuple(map(...)) without the list raised verify-exact's peak RSS by 0.4 MB
+        return tuple(list(map(scale, values_k, repeat(g))))
+
     return Instance(
         kind=kind,
-        speeds=tuple([scale(k, g) for k in speeds_k]),
-        batteries=((None,) * len(speeds_k) if batteries_k is None
-                   else tuple([scale(k, g) for k in batteries_k])),
-        lengths=tuple([scale(k, g) for k in lengths_k]),
+        speeds=scaled(speeds_k),
+        batteries=(None,) * len(speeds_k) if batteries_k is None else scaled(batteries_k),
+        lengths=scaled(lengths_k),
         eligibility=eligibility,
     )
 
 
 # -- canonical instance text --------------------------------------------------
 
-def decimal_str(x: Scalar) -> str:
+def decimal_str(x: Fraction) -> str:
     """Exact decimal rendering when the denominator is 2^a 5^b, else 'p/q'."""
-    # floats first: isinstance(a float, Fraction) runs the slow ABC check
-    if isinstance(x, float) or not isinstance(x, Fraction):
-        return repr(x)
     den = x.denominator
     if den == 1:
         return str(x.numerator)
@@ -185,20 +199,22 @@ def decimal_str(x: Scalar) -> str:
 
 def write_instance(instance: Instance) -> str:
     """Serialize to the line-oriented instance format consumed by the CLI."""
+    # an instance holds floats only or Fractions only
+    render = repr if isinstance(instance.speeds[0], float) else decimal_str
     out = [f"{instance.kind.value} {instance.m} {instance.n}"]
     if instance.kind is Kind.DWP:
         if None in instance.batteries:
             raise UsageError("DWP text format needs a finite battery per drone")
-        out.extend(f"{decimal_str(v)} {decimal_str(d)}"
-                   for v, d in zip(instance.speeds, instance.batteries))
+        out.extend(map("{} {}".format, map(render, instance.speeds),
+                       map(render, instance.batteries)))
     else:
-        out.extend(map(decimal_str, instance.speeds))
+        out.extend(map(render, instance.speeds))
     if instance.kind is Kind.RESTRICTED:
         for length, eligible in zip(instance.lengths, instance.eligibility):
             elig = sorted(eligible)
-            out.append(f"{decimal_str(length)} {len(elig)} " + " ".join(map(str, elig)))
+            out.append(f"{render(length)} {len(elig)} " + " ".join(map(str, elig)))
     else:
-        out.extend(map(decimal_str, instance.lengths))
+        out.extend(map(render, instance.lengths))
     return "\n".join(out) + "\n"
 
 

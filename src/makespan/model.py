@@ -16,7 +16,7 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import truediv
+from operator import attrgetter, truediv
 from typing import Optional, Sequence
 
 from .errors import UsageError
@@ -32,8 +32,22 @@ class Kind(enum.Enum):
 def _check_scalars(values: tuple, scalar: type, what: str, optional: bool = False) -> None:
     """Raise UsageError unless every value is a finite, positive ``scalar``
     (or None, if ``optional``); ``what`` names a value by its index, as in
-    "job {}: length". 0 < x < inf also rejects nan."""
+    "job {}: length". 0 < x < inf also rejects nan.
+
+    A block of exact ``scalar`` values is accepted in a few C-level passes;
+    the value-by-value scan runs only to name the first bad value."""
     inf = math.inf
+    types = set(map(type, values))
+    if types == {scalar}:
+        if scalar is float:
+            # a nan or an inf makes the sum nan or inf; an overflowing sum of
+            # finite values only sends the block to the scan, which accepts it
+            if 0 < min(values) and sum(values) < inf:
+                return
+        elif min(map(attrgetter("numerator"), values)) > 0:  # a Fraction is finite
+            return
+    elif optional and types == {type(None)}:
+        return
     for x in values:
         if not (isinstance(x, scalar) and 0 < x < inf) and not (optional and x is None):
             # the first bad value: no earlier position holds the same object

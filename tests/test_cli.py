@@ -93,6 +93,10 @@ def test_parse_zero_length_job_rejected():
     ("USP 1 2\n1\n3\n inf\n", Mode.F64, 4, 2, "bad length 'inf'"),
     ("DWP 1 1\n2 inf\n5\n", Mode.F64, 2, 3, "bad battery 'inf'"),
     ("USP 1 1\n1\n3 / 4\n", Mode.RATIONAL, 3, 1, "job line must be a single length"),
+    ("USP 1 1\n1\n2 3\n", Mode.F64, 3, 1, "job line must be a single length"),
+    ("USP 1 1\n1 2\n5\n", Mode.F64, 2, 1, "machine line must be a single speed"),
+    ("USP 1 2\n1\n   \n5\n", Mode.RATIONAL, 4, 0,
+     "expected 4 data lines for m=1, n=2, found 3"),
 ])
 def test_parse_diagnostics_pin_line_column_message(text, mode, line, col, message):
     # a block that fails its one-pass conversion is scanned again value by

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import math
+import random
 from fractions import Fraction as F
+from itertools import product
 
 import pytest
 
@@ -44,6 +47,47 @@ def test_generated_bytes_pinned():
                         digest.update(write_instance(generate(spec, mode)).encode())
     assert digest.hexdigest() == (
         "d3530fcc6dcec03385f3f738b0c09dc0c2ad238791c5195231933adf409f17a4")
+
+
+def randint_instance(spec):
+    """generate()'s draws rebuilt with one randint call per value, in the
+    draw order: speeds, then lengths, then batteries (rational mode)."""
+    rng = random.Random(spec.seed)
+    g = spec.grid
+
+    def draws(bounds, count):
+        lo, hi = math.ceil(bounds[0] * g), math.floor(bounds[1] * g)
+        return [rng.randint(lo, hi) for _ in range(count)]
+
+    speeds = draws(spec.speed_range, 1 if spec.family == "equal-speed" else spec.m)
+    if spec.family == "equal-speed":
+        speeds *= spec.m
+    lengths = draws(spec.length_range, spec.n)
+    batteries = [None] * spec.m
+    if spec.family == "uniform-dwp":
+        batteries = draws(spec.battery_range, spec.m)
+        if max(batteries) < max(lengths):
+            batteries[batteries.index(max(batteries))] = max(lengths)
+        batteries = [F(k, g) for k in batteries]
+    return [[F(k, g) for k in speeds], batteries, [F(k, g) for k in lengths]]
+
+
+@pytest.mark.parametrize("family", ["uniform-usp", "uniform-dwp", "equal-speed"])
+def test_draws_are_the_randint_stream(family):
+    """The batched draws accept and reject exactly as randint does, on the
+    interpreter that runs this test: a width of 1 (lo == hi), power-of-two
+    widths (about half the draws rejected), counts of 1 and a fine grid."""
+    ranges = [(F(1), F(4)), (F(3), F(3)), (F(1), F(2)), (F(2), F(9)), (F(1), F(16)),
+              (F(1), F(100))]
+    for grid in (1, 2, 10 ** 4):
+        for k, (speed_range, length_range) in enumerate(product(ranges, repeat=2)):
+            for n, m in ((1, 1), (1, 4), (9, 1), (33, 5)):
+                spec = GenSpec(family=family, n=n, m=m, grid=grid, seed=100 * k + n + m,
+                               speed_range=speed_range, length_range=length_range,
+                               battery_range=ranges[k % len(ranges)])
+                inst = generate(spec)
+                assert [list(inst.speeds), list(inst.batteries), list(inst.lengths)] == (
+                    randint_instance(spec)), spec
 
 
 def test_graham_family_content():

@@ -125,6 +125,52 @@ def test_instance_rejects_mixed_modes():
                      lengths=tuple(lengths))
 
 
+FLOAT_ONLY = "an instance holds floats only or Fractions only"
+
+
+@pytest.mark.parametrize("bad, message", [
+    (math.nan, "{} must be finite and > 0, got nan"),
+    (math.inf, "{} must be finite and > 0, got inf"),
+    (-math.inf, "{} must be finite and > 0, got -inf"),
+    (0.0, "{} must be finite and > 0, got 0.0"),
+    (-1.0, "{} must be finite and > 0, got -1.0"),
+    (F(1, 2), "{} Fraction(1, 2) is not a float like the first speed: " + FLOAT_ONLY),
+    (1, "{} 1 is not a float like the first speed: " + FLOAT_ONLY),
+])
+def test_float_block_names_its_last_bad_value(bad, message):
+    # a long block accepted in bulk passes must still name its one bad value
+    good = [1.0] * 999
+    for where, build in (
+            ("job 999: length", lambda block: usp([2.0], block)),
+            ("machine 999: speed", lambda block: dwp(zip(block, [1.0] * 1000), [1.0])),
+            ("machine 999: battery", lambda block: dwp(zip([1.0] * 1000, block), [1.0]))):
+        with pytest.raises(UsageError) as raised:
+            build(good + [bad])
+        assert str(raised.value) == message.format(where)
+
+
+@pytest.mark.parametrize("bad, message", [
+    (F(0), "job 999: length must be finite and > 0, got 0"),
+    (F(-1, 2), "job 999: length must be finite and > 0, got -1/2"),
+    (1.5, "job 999: length 1.5 is not a Fraction like the first speed: " + FLOAT_ONLY),
+    (2, "job 999: length 2 is not a Fraction like the first speed: " + FLOAT_ONLY),
+])
+def test_fraction_block_names_its_last_bad_value(bad, message):
+    with pytest.raises(UsageError) as raised:
+        usp([F(2)], [F(3, 2)] * 999 + [bad])
+    assert str(raised.value) == message
+
+
+def test_float_subclass_values_accepted():
+    class Real(float):
+        pass
+
+    inst = dwp([(Real(2.0), Real(1.0))] + [(2.0, 1.0)] * 5, [1.0, Real(3.0)] * 50)
+    assert inst.m == 6 and inst.n == 100
+    with pytest.raises(UsageError, match="machine 6: battery must be finite"):
+        dwp([(Real(2.0), Real(1.0))] * 6 + [(2.0, Real(0.0))], [1.0])
+
+
 def test_build_schedule_rejects_unknown_job_ids():
     inst = usp([F(1), F(2)], [F(1), F(2)])
     for assignment, bad in (([[0], [1, 2]], "machine 1: unknown job id 2"),
