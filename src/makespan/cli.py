@@ -44,11 +44,6 @@ def parse_instance_text(text: str, mode: Mode) -> Instance:
             if line.strip() and not line.lstrip().startswith("#")]
     if not rows:
         raise ParseError("empty instance file", 1)
-    if len(rows) < len(lines):  # comments or blank lines left out: the blocks again
-        try:
-            return _convert_blocks([line for _, line in rows], mode)
-        except (ValueError, ZeroDivisionError):
-            pass
 
     def fail(lineno, line, token, message):
         col = line.find(token) + 1 if token and token in line else 1
@@ -137,9 +132,7 @@ def parse_instance_text(text: str, mode: Mode) -> Instance:
 def _convert_blocks(lines: list, mode: Mode) -> Instance:
     """A USP or DWP text whose lines are its header and data lines, with no
     comment or blank line; each block is converted in one pass and
-    ``Instance`` checks the values. Raises on any defect without saying where.
-    float() and Fraction() take the whitespace around a token, and refuse a
-    line of two tokens, a blank line and a comment."""
+    ``Instance`` checks the values. Raises on any defect without saying where."""
     if not lines:
         raise ValueError("no header")
     kind_name, m_text, n_text = lines[0].split()
@@ -148,16 +141,32 @@ def _convert_blocks(lines: list, mode: Mode) -> Instance:
         raise ValueError("not a USP or DWP text of 1 + m + n lines")
     convert = Fraction if mode is Mode.RATIONAL else float
     if kind is Kind.DWP:
-        machines = list(map(str.split, lines[1:1 + m]))
-        if set(map(len, machines)) != {2}:
-            raise ValueError("a DWP machine line has the wrong number of fields")
+        machines = _fields(lines[1:1 + m], 2)
         speeds = tuple(map(convert, map(itemgetter(0), machines)))
         batteries = tuple(map(convert, map(itemgetter(1), machines)))
     else:
-        speeds = tuple(map(convert, lines[1:1 + m]))
+        speeds = tuple(map(convert, _single_tokens(lines[1:1 + m], mode)))
         batteries = (None,) * m
     return Instance(kind=kind, speeds=speeds, batteries=batteries,
-                    lengths=tuple(map(convert, lines[1 + m:])))
+                    lengths=tuple(map(convert, _single_tokens(lines[1 + m:], mode))))
+
+
+def _fields(lines: list, count: int) -> list:
+    """Each line's whitespace-split tokens; raises unless every line has count."""
+    rows = list(map(str.split, lines))
+    if set(map(len, rows)) != {count}:
+        raise ValueError(f"a line does not hold {count} tokens")
+    return rows
+
+
+def _single_tokens(lines: list, mode: Mode):
+    """The one token of each line. float() takes the whitespace around a
+    token and refuses a line of two tokens, a blank line and a comment, so
+    f64 lines are converted whole; Fraction() takes '3 / 4' on CPython 3.12+,
+    so rational lines are split and counted first."""
+    if mode is Mode.F64:
+        return lines
+    return map(itemgetter(0), _fields(lines, 1))
 
 
 # -- flag helpers ---------------------------------------------------------------

@@ -97,6 +97,8 @@ def test_parse_zero_length_job_rejected():
     ("USP 1 1\n1 2\n5\n", Mode.F64, 2, 1, "machine line must be a single speed"),
     ("USP 1 2\n1\n   \n5\n", Mode.RATIONAL, 4, 0,
      "expected 4 data lines for m=1, n=2, found 3"),
+    ("USP 1 1\n1\n1 /2\n", Mode.RATIONAL, 3, 1, "job line must be a single length"),
+    ("USP 1 1\n1/ 2\n5\n", Mode.RATIONAL, 2, 1, "machine line must be a single speed"),
 ])
 def test_parse_diagnostics_pin_line_column_message(text, mode, line, col, message):
     # a block that fails its one-pass conversion is scanned again value by
