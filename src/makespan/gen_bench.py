@@ -373,9 +373,15 @@ class BenchResult:
     m: int
     repetitions: int
     wall_times: list
-    median_s: float
-    min_s: float
     counters: dict
+
+    @property
+    def median_s(self) -> float:
+        return statistics.median(self.wall_times)
+
+    @property
+    def min_s(self) -> float:
+        return min(self.wall_times)
 
     def to_json(self) -> dict:
         return {
@@ -416,8 +422,6 @@ def bench_scaling(algorithm: str, sizes, repetitions: int,
             m=m,
             repetitions=repetitions,
             wall_times=times,
-            median_s=statistics.median(times),
-            min_s=min(times),
             counters=dict(trace.counters),
         ))
     return results

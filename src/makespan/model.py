@@ -214,11 +214,12 @@ def validate(instance: Instance, schedule: Schedule) -> ValidationReport:
 
 
 def makespan(instance: Instance, schedule: Schedule) -> Scalar:
-    """Max over machines of load/speed; raises UsageError if the schedule is invalid."""
+    """Max over machines of load/speed; raises UsageError if the schedule is
+    invalid. ``validate`` checks the stored ``schedule.makespan`` is that max."""
     report = validate(instance, schedule)
     if not report.ok:
         raise UsageError(f"invalid schedule: {report.violations[:3]}")
-    return max(schedule.loads[j] / instance.speeds[j] for j in range(instance.m))
+    return schedule.makespan
 
 
 def battery_order(instance: Instance) -> list:
@@ -232,22 +233,13 @@ def battery_order(instance: Instance) -> list:
 def feasibility_check(instance: Instance) -> bool:
     """Linear-time feasibility: some machine can carry the largest job.
 
-    USP instances are always feasible. DWP needs max battery >= max length.
-    RESTRICTED needs every eligibility set nonempty (enforced at construction,
-    rechecked here).
+    Only a DWP instance can be infeasible: it needs an unbounded drone or
+    max battery >= max length. USP has no limits, and ``Instance`` rejects
+    an empty RESTRICTED eligibility set. The oracle asks this up front;
+    ``dwp_lpt`` does not, as its battery sweep raises on the first parcel
+    that no drone can carry.
     """
-    if instance.kind is Kind.USP:
+    if instance.kind is not Kind.DWP:
         return True
-    if instance.kind is Kind.RESTRICTED:
-        return all(instance.eligibility[i] for i in range(instance.n))
-    best = None
-    for d in instance.batteries:
-        if d is None:
-            return True
-        if best is None or d > best:
-            best = d
-    longest = instance.lengths[0]
-    for l in instance.lengths:
-        if l > longest:
-            longest = l
-    return best >= longest
+    batteries = instance.batteries
+    return None in batteries or max(batteries) >= max(instance.lengths)

@@ -21,8 +21,7 @@ from typing import Iterator, NamedTuple, Optional
 
 from .envelope import Line, LowerEnvelope
 from .errors import InfeasibleError, UsageError
-from .model import (Instance, Kind, Schedule, battery_order, build_schedule,
-                    feasibility_check)
+from .model import Instance, Kind, Schedule, battery_order, build_schedule
 from .numeric import Scalar, scalar_to_str
 
 _CHUNK = 4096  # jobs per raise_each call
@@ -37,38 +36,52 @@ class Decision(NamedTuple):
 
 @dataclass
 class LptTrace:
-    """Per-job decision log plus the final schedule and operation counters."""
+    """What LPT decided, plus the final schedule and operation counters: job
+    ``job_ids[k]`` went to machine ``machine_ids[k]``, whose finish time
+    became ``after[k]``. ``before`` is derived, not stored: the machine's
+    previous ``after``, or zero. Untraced runs leave the three lists empty.
+    """
 
     algorithm: str
     job_ids: list = field(default_factory=list)
     machine_ids: list = field(default_factory=list)
-    before: list = field(default_factory=list)
     after: list = field(default_factory=list)
     schedule: Optional[Schedule] = None
     counters: dict = field(default_factory=dict)
 
+    @property
+    def before(self) -> list:
+        """Each decision's machine's finish time before it."""
+        return _previous(self.machine_ids, self.after, self._idle())
+
     def decisions(self) -> Iterator[Decision]:
-        return (Decision(*t) for t in
-                zip(self.job_ids, self.machine_ids, self.before, self.after))
+        return map(Decision, self.job_ids, self.machine_ids, self.before, self.after)
 
     def decisions_json(self) -> list:
         """The decisions as JSON objects {job, machine, before, after}, finish
         times rendered by ``scalar_to_str`` (the shape of trace.schema.json).
 
-        Each finish time is rendered once: a machine's ``before`` is its
-        previous ``after``, so when it is that same object its string is
-        reused; any other ``before`` is rendered on its own.
+        Each finish time is rendered once: ``before`` is derived as in the
+        property, over the rendered ``after`` strings.
         """
-        values = self.after
-        after = list(map(scalar_to_str, values))
-        before = []
-        latest = {}  # machine -> index of its latest decision
-        for k, (j, b) in enumerate(zip(self.machine_ids, self.before)):
-            p = latest.get(j)
-            latest[j] = k
-            before.append(after[p] if p is not None and values[p] is b else scalar_to_str(b))
+        after = list(map(scalar_to_str, self.after))
+        before = _previous(self.machine_ids, after, scalar_to_str(self._idle()))
         return [{"job": i, "machine": j, "before": b, "after": a}
                 for i, j, b, a in zip(self.job_ids, self.machine_ids, before, after)]
+
+    def _idle(self) -> Scalar:  # an idle machine's finish time: 0.0 or Fraction(0)
+        return type(self.after[0])() if self.after else 0
+
+
+def _previous(machines: list, values: list, zero) -> list:
+    """For each decision, the value of the previous decision on its machine,
+    or ``zero`` on the machine's first decision."""
+    latest = [zero] * (max(machines, default=-1) + 1)
+    previous = []
+    for j, v in zip(machines, values):
+        previous.append(latest[j])
+        latest[j] = v
+    return previous
 
 
 def _job_order(instance: Instance) -> list:
@@ -100,9 +113,9 @@ def _scan_lpt(instance: Instance, name: str, candidates, record_trace: bool) -> 
     inv = [1 / v for v in instance.speeds]
     T = [_zero(instance)] * instance.m
     assignment = [[] for _ in range(instance.m)]
-    trace = LptTrace(algorithm=name)
-    scans = 0
-    for i in _job_order(instance):
+    order = _job_order(instance)
+    trace = LptTrace(algorithm=name, job_ids=order if record_trace else [])
+    for i in order:
         l = lengths[i]
         machines = candidates[i]
         best = machines[0]
@@ -112,15 +125,12 @@ def _scan_lpt(instance: Instance, name: str, candidates, record_trace: bool) -> 
             if val <= bval:
                 if val < bval or (inv[j] == inv[best] and T[j] < T[best]):
                     best, bval = j, val
-        scans += len(machines)
         if record_trace:
-            trace.job_ids.append(i)
             trace.machine_ids.append(best)
-            trace.before.append(T[best])
             trace.after.append(bval)
         T[best] = bval
         assignment[best].append(i)
-    trace.counters = {"machine_scans": scans}
+    trace.counters = {"machine_scans": sum(map(len, candidates))}
     trace.schedule = build_schedule(instance, assignment)
     return trace
 
@@ -151,18 +161,18 @@ def _envelope_lpt(instance: Instance, admission_order: list, name: str,
     Each step picks the job's machine and raises its line to the new finish
     time; query points only shrink, so it replays one leaf-to-root path at
     the job's length plus the nodes beside it that shrinking invalidated.
+    A trace keeps the machines and finish times ``raise_each`` returns. The
+    sweep decides feasibility: it raises if no machine covers the first job.
     """
-    m, speeds, lengths = instance.m, instance.speeds, instance.lengths
+    m, n, speeds, lengths = instance.m, instance.n, instance.speeds, instance.lengths
     batteries = instance.batteries
     zero = _zero(instance)
     # a machine is idle until admitted, so its line is known up front
     lines = [Line(1 / speeds[j], zero, j) for j in admission_order]
     assignment = [[] for _ in range(m)]
-    trace = LptTrace(algorithm=name)
-    T, before = [zero] * m, trace.before  # finish times, for the trace
-    env = LowerEnvelope()
     order = _job_order(instance)
-    n = len(order)
+    trace = LptTrace(algorithm=name, job_ids=order if record_trace else [])
+    env = LowerEnvelope()
     ptr = start = 0
     while start < n:
         l = lengths[order[start]]
@@ -186,16 +196,10 @@ def _envelope_lpt(instance: Instance, admission_order: list, name: str,
         jobs = order[start:stop]
         machines, after = env.raise_each([lengths[i] for i in jobs])
         if record_trace:
-            trace.job_ids += jobs
             trace.machine_ids += machines
             trace.after += after
-            for i, j, v in zip(jobs, machines, after):
-                assignment[j].append(i)
-                before.append(T[j])
-                T[j] = v
-        else:
-            for i, j in zip(jobs, machines):
-                assignment[j].append(i)
+        for i, j in zip(jobs, machines):
+            assignment[j].append(i)
         start = stop
     trace.counters = dict(env.counters)
     trace.schedule = build_schedule(instance, assignment)
@@ -226,12 +230,11 @@ def dwp_lpt(instance: Instance, record_trace: bool = True) -> LptTrace:
 
     Drones sorted by non-increasing battery are admitted by a pointer sweep
     (ties admitted together, ascending id); every produced schedule respects
-    all battery limits by construction.
+    all battery limits by construction. The sweep, not a pre-pass, raises
+    InfeasibleError if no drone can carry the longest parcel.
     """
     if instance.kind is not Kind.DWP:
         raise UsageError("dwp_lpt expects a DWP instance")
-    if not feasibility_check(instance):
-        raise InfeasibleError("no drone can carry the longest parcel")
     return _envelope_lpt(instance, battery_order(instance), "dwp-lpt", record_trace)
 
 
@@ -239,8 +242,6 @@ def lpt_restricted(instance: Instance, record_trace: bool = True) -> LptTrace:
     """LPT over arbitrary per-job eligibility sets (naive scan per job)."""
     if instance.kind is not Kind.RESTRICTED:
         raise UsageError("lpt_restricted expects a RESTRICTED instance")
-    if not feasibility_check(instance):
-        raise InfeasibleError("a job has no eligible machine")
     candidates = [_fastest_first(instance.speeds, e) for e in instance.eligibility]
     return _scan_lpt(instance, "lpt-restricted", candidates, record_trace)
 

@@ -156,6 +156,8 @@ def test_schedule_infeasible_exit_3(tmp_path, capsys):
     path = tmp_path / "infeasible.txt"
     path.write_text("DWP 1 1\n1 5\n6\n", encoding="utf-8")
     assert main(["schedule", "--algo", "dwp-lpt", "--input", str(path)]) == 3
+    assert capsys.readouterr().err == (
+        "infeasible: no admitted machine can carry job 0 (length 6)\n")
 
 
 def test_schedule_size_guard_exit_4(tmp_path):

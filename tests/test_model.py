@@ -80,6 +80,7 @@ def test_makespan_rejects_invalid():
 def test_feasibility_examples():
     assert feasibility_check(dwp([(F(1), F(10)), (F(1), F(4))], [F(6), F(4), F(4)]))
     assert not feasibility_check(dwp([(F(1), F(5))], [F(6)]))
+    assert feasibility_check(dwp([(F(1), F(5)), (F(2), None)], [F(6)]))  # unbounded drone
     single = usp([F(1)], [F(100)])
     assert single.m == 1 and single.n == 1
     assert feasibility_check(single)

@@ -225,7 +225,8 @@ def test_dwp_single_drone():
 
 def test_dwp_infeasible_raises():
     inst = dwp([(F(1), F(5))], [F(6)])
-    with pytest.raises(InfeasibleError):
+    with pytest.raises(InfeasibleError,
+                       match=r"^no admitted machine can carry job 0 \(length 6\)$"):
         dwp_lpt(inst)
 
 
@@ -305,16 +306,32 @@ def test_decisions_json_matches_per_field_rendering(mode):
             assert json.dumps(trace.decisions_json()) == json.dumps(per_field_json(trace))
 
 
-def test_decisions_json_renders_fresh_before_values():
-    # a machine's `before` need not be the object of its previous `after`
+def test_trace_output_pinned():
+    """The traced output of every scheduler repeats per input: decisions as
+    JSON, assignment and makespan, hashed over seeded instances in both
+    modes (random eligibility sets for lpt-restricted). A change to how a
+    trace is stored or rendered must leave this digest as it is."""
+    digest = hashlib.sha256()
+    rng = random.Random(0x7ACE)
     for mode in (Mode.RATIONAL, Mode.F64):
-        trace = lpt_fast(generate(GenSpec(family="uniform-usp", n=30, m=4, seed=9), mode))
-        expected = json.dumps(trace.decisions_json())
-        trace.before = [b + b * 0 for b in trace.before]  # equal values, new objects
-        assert json.dumps(trace.decisions_json()) == expected
-        trace.before = [b + 1 for b in trace.before]      # other values
-        assert json.dumps(trace.decisions_json()) == json.dumps(per_field_json(trace))
-        assert json.dumps(trace.decisions_json()) != expected
+        for seed in range(12):
+            n, m = rng.randint(1, 120), rng.randint(1, 12)
+            uin = generate(GenSpec(family="uniform-usp", n=n, m=m, seed=seed), mode)
+            deep = generate(GenSpec(family="uniform-usp", n=n, m=m, seed=seed,
+                                    speed_range=(F(1), F(2)), grid=4), mode)
+            din = generate(GenSpec(family="uniform-dwp", n=n, m=m, seed=seed), mode)
+            # some drones unbounded: they are admitted first
+            open_din = dwp([(v, None if rng.random() < 0.3 else d)
+                            for v, d in zip(din.speeds, din.batteries)], din.lengths)
+            rin = restricted(uin.speeds, [(l, rng.sample(range(m), rng.randint(1, m)))
+                                          for l in uin.lengths])
+            for trace in (lpt_naive(uin), lpt_fast(uin), lpt_naive(deep), lpt_fast(deep),
+                          dwp_lpt(din), dwp_lpt(open_din), lpt_restricted(rin)):
+                digest.update(json.dumps(trace.decisions_json()).encode())
+                digest.update(json.dumps(trace.schedule.assignment).encode())
+                digest.update(scalar_to_str(trace.schedule.makespan).encode())
+    assert digest.hexdigest() == (
+        "9f42a7ba8735aa0fd77ae8e525629912347130dea1bfbef6595305d65c6e2dfd")
 
 
 def envelope_counter_digest(names):
