@@ -4,8 +4,9 @@
 # mode, run lpt-naive and lpt-fast in both modes on a few-speed uniform-usp
 # instance (5 speeds, 12 machines on each, so one tournament leaf wins job
 # after job), `schedule --algo opt --numeric f64` on a uniform-dwp instance
-# whose greedy seed is already optimal (seed 733), and `verify --count 50`
-# on both uniform families. Every step must exit 0; each step's stdout is
+# whose greedy seed is already optimal (seed 733), every scheduler and `opt`
+# in rational mode on hand-written instances with huge denominators, and
+# `verify --count 50` on both uniform families. Every step must exit 0; each step's stdout is
 # kept in OUT_DIR, so two interpreters' runs can be compared byte for byte.
 #
 #   sh scripts/versions_smoke.sh OUT_DIR
@@ -40,6 +41,30 @@ for numeric in f64 rational; do
         cli "deep-$algo-$numeric.json" schedule --algo "$algo" --input "$out/deep.txt" \
             --numeric "$numeric" --trace
     done
+done
+# hand-written rational instances: speeds p/q with large coprime numerators,
+# lengths with denominators past 10^30, so the exact loops' scaled integers
+# run to hundreds of bits
+speeds="1000003/999983 999979/1000033 1000037/999961"
+lengths="221852435492380785772761664783054439701897/10000000000000000000000000000000000000003
+2663408482576573856441167130131514526346/100000000000000000000000000000000000039
+4082810393019924532002659785355986376103/170141183460469231731687303715884105727
+50971401403048664646679367424063/1000000000000000000000000000057
+7819077290327495984326567944036363099059/147808829414345923316083210206383297603
+549596420508533741973805246882888194622632/10000000000000000000000000000000000000003
+2322591121219975195009253712997482055599/100000000000000000000000000000000000039"
+{ echo "USP 3 7"; printf '%s\n' $speeds; echo "$lengths"; } > "$out/big-usp.txt"
+{ echo "DWP 3 7"; printf '%s 60\n%s 30\n%s 25\n' $speeds; echo "$lengths"; } > "$out/big-dwp.txt"
+{ echo "RESTRICTED 3 7"; printf '%s\n' $speeds
+  echo "$lengths" | awk '{ k = NR % 3 + 1; line = $1 " " k
+      for (i = 0; i < k; i++) line = line " " (NR + i) % 3; print line }'
+} > "$out/big-restricted.txt"
+for kind_algo in usp:lpt-naive usp:lpt-fast usp:opt dwp:dwp-lpt dwp:opt \
+        restricted:lpt-restricted restricted:opt; do
+    kind=${kind_algo%%:*}
+    algo=${kind_algo#*:}
+    cli "big-$kind-$algo.json" schedule --algo "$algo" --input "$out/big-$kind.txt" \
+        --numeric rational --trace
 done
 cli dwp733.txt gen --family uniform-dwp --n 7 --m 2 --seed 733
 cli dwp733-opt-f64.json schedule --algo opt --input "$out/dwp733.txt" --numeric f64

@@ -14,7 +14,6 @@ generated file; tests/test_gen_bench.py pins a digest over all families.
 
 from __future__ import annotations
 
-import math
 import os
 import random
 import statistics
@@ -77,8 +76,9 @@ class GenSpec:
 
 
 def _grid_points(lo: Fraction, hi: Fraction, grid: int):
-    lo_i = math.ceil(lo * grid)
-    hi_i = math.floor(hi * grid)
+    """The least and greatest k with lo <= k / grid <= hi, by integer division."""
+    lo_i = -(-lo.numerator * grid // lo.denominator)
+    hi_i = hi.numerator * grid // hi.denominator
     if lo_i > hi_i:
         raise UsageError(f"range {lo}..{hi} contains no grid point at 1/{grid}")
     return lo_i, hi_i

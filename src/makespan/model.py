@@ -16,11 +16,12 @@ import enum
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import attrgetter, truediv
-from typing import Optional, Sequence
+from functools import cached_property
+from operator import attrgetter, mul, truediv
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import UsageError
-from .numeric import Scalar, scalar_to_str
+from .numeric import Scalar, exact_ints, scalar_to_str
 
 
 class Kind(enum.Enum):
@@ -57,6 +58,19 @@ def _check_scalars(values: tuple, scalar: type, what: str, optional: bool = Fals
                                  f"first speed: an instance holds floats only or "
                                  f"Fractions only")
             raise UsageError(f"{where} must be finite and > 0, got {scalar_to_str(x)}")
+
+
+class ExactScaling(NamedTuple):
+    """A rational instance on integers: length l_i = lengths[i] / L, battery
+    d_j = batteries[j] / L (None: unbounded) and 1 / v_j = slopes[j] / P. A
+    finish time T is then the integer T * L * P, and job i on machine j
+    adds lengths[i] * slopes[j] to it."""
+
+    lengths: list
+    batteries: list
+    slopes: list
+    L: int
+    P: int
 
 
 @dataclass(frozen=True)
@@ -104,6 +118,16 @@ class Instance:
     def n(self) -> int:
         return len(self.lengths)
 
+    @cached_property
+    def exact(self) -> ExactScaling:
+        """The instance scaled to integers, computed once: the LPT loops and
+        ``build_schedule`` decide on it in rational mode. L is the lcm of
+        the length and battery denominators, P that of the speed numerators."""
+        n = self.n
+        ints, L = exact_ints(self.lengths + self.batteries)
+        slopes, P = exact_ints(self.speeds, invert=True)
+        return ExactScaling(ints[:n], ints[n:], slopes, L, P)
+
 
 @dataclass(frozen=True)
 class Schedule:
@@ -133,7 +157,9 @@ class ValidationReport:
 
 
 def build_schedule(instance: Instance, assignment: Sequence[Sequence[int]]) -> Schedule:
-    """Construct a Schedule from raw per-machine job lists, recomputing loads."""
+    """Construct a Schedule from raw per-machine job lists, recomputing loads:
+    added left to right in float mode, and in rational mode summed and
+    compared as the integers of ``Instance.exact``, then made Fractions."""
     if len(assignment) != instance.m:
         raise UsageError(f"assignment has {len(assignment)} machine slots, expected {instance.m}")
     lengths, n = instance.lengths, instance.n
@@ -142,11 +168,19 @@ def build_schedule(instance: Instance, assignment: Sequence[Sequence[int]]) -> S
         j, i = next((j, i) for j, jobs in enumerate(assignment)
                     for i in jobs if not 0 <= i < n)
         raise UsageError(f"machine {j}: unknown job id {i}")
-    loads = _loads(lengths, assignment)
+    if isinstance(lengths[0], float):
+        loads = _loads(lengths, assignment)
+        makespan = max(map(truediv, loads, instance.speeds))
+    else:  # sum and compare integers, then map back to Fractions
+        exact = instance.exact
+        L, scaled = exact.L, exact.lengths
+        loads = [sum(map(scaled.__getitem__, jobs)) for jobs in assignment]
+        makespan = Fraction(max(map(mul, loads, exact.slopes)), L * exact.P)
+        loads = [Fraction(load, L) for load in loads]
     return Schedule(
         assignment=tuple(map(tuple, assignment)),
         loads=tuple(loads),
-        makespan=max(map(truediv, loads, instance.speeds)),
+        makespan=makespan,
     )
 
 

@@ -55,6 +55,18 @@ def parse_scalar(text: str, mode: Mode) -> Scalar:
     return value
 
 
+def exact_ints(values, invert: bool = False) -> tuple:
+    """(integers, den): positive Fractions or floats, or with ``invert``
+    their reciprocals, scaled exactly to integers over their least common
+    denominator den; None (no battery) stays None. A float is a dyadic
+    rational, so float values scale exactly too."""
+    pairs = [None if v is None else v.as_integer_ratio() for v in values]
+    if invert:
+        pairs = [(q, p) for p, q in pairs]
+    den = math.lcm(*(p[1] for p in pairs if p is not None))
+    return [None if p is None else p[0] * (den // p[1]) for p in pairs], den
+
+
 def scalar_to_str(x: Scalar) -> str:
     """Lossless text form: 'p/q' (or 'p') for rationals, shortest repr for floats."""
     # floats first: isinstance(a float, Fraction) runs the slow ABC check

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .errors import InfeasibleError, SizeGuardError, UsageError
 from .model import (Instance, Kind, Schedule, battery_order, build_schedule,
                     feasibility_check)
-from .numeric import Scalar, scalar_to_str
+from .numeric import Scalar, exact_ints, scalar_to_str
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -54,15 +54,6 @@ def round_r(x: Scalar) -> Scalar:
     if exact:
         return Fraction(x.numerator // x.denominator)
     return float(math.floor(x))
-
-
-def _exact_ints(values):
-    """Map positive Fractions or floats exactly to integers over one common
-    denominator, and None (no battery) to inf. A float is a dyadic rational,
-    so float mode is exact too."""
-    pairs = [(math.inf, 1) if v is None else v.as_integer_ratio() for v in values]
-    den = math.lcm(*(d for _, d in pairs))
-    return [p * (den // d) for p, d in pairs]
 
 
 def _last_finish(vec, lengths, speeds):
@@ -123,7 +114,17 @@ def _fits(jobs, choices, lengths, twin, loads, caps, vec) -> bool:
 
 def brute_force_opt(instance: Instance) -> Schedule:
     """Exact minimum-makespan schedule: among the optimal assignment vectors
-    (job i on machine v[i]), the lexicographically smallest.
+    (job i on machine v[i]), the lexicographically smallest."""
+    vec, _, _ = _search(instance)
+    assignment = [[] for _ in range(instance.m)]
+    for i, j in enumerate(vec):
+        assignment[j].append(i)
+    return build_schedule(instance, assignment)
+
+
+def _search(instance: Instance) -> tuple:
+    """(vec, load, v): the lexicographically smallest optimal assignment
+    vector, job i on machine vec[i], and the optimum load / v as integers.
 
     One exact depth-first search, used in two passes. Lengths, speeds and
     batteries are scaled to integers by one common denominator (floats too:
@@ -152,7 +153,7 @@ def brute_force_opt(instance: Instance) -> Schedule:
     if m ** n > BRUTE_FORCE_GUARD:
         raise SizeGuardError(f"m^n = {m}^{n} exceeds the {BRUTE_FORCE_GUARD:g} guard")
 
-    scaled = _exact_ints(instance.lengths + instance.speeds + instance.batteries)
+    scaled, _ = exact_ints(instance.lengths + instance.speeds + instance.batteries)
     lengths, speeds, batteries = scaled[:n], scaled[n:n + m], scaled[n + m:]
     # each job's machines, fastest first (lowest id among equal speeds)
     by_speed = sorted(range(m), key=speeds.__getitem__, reverse=True)
@@ -161,7 +162,8 @@ def brute_force_opt(instance: Instance) -> Schedule:
     elif instance.kind is Kind.USP:
         eligible = [by_speed] * n
     else:
-        eligible = [[j for j in by_speed if l <= batteries[j]] for l in lengths]
+        eligible = [[j for j in by_speed if batteries[j] is None or l <= batteries[j]]
+                    for l in lengths]
     # twin[j]: the last machine before j with the same speed and battery, or
     # j itself if there is none (always for RESTRICTED instances)
     last_of = {}
@@ -211,11 +213,7 @@ def brute_force_opt(instance: Instance) -> Schedule:
                      lengths, twin, loads, caps, trial):
                 vec = trial
         loads[vec[i]] += l
-
-    assignment = [[] for _ in range(m)]
-    for i, j in enumerate(vec):
-        assignment[j].append(i)
-    return build_schedule(instance, assignment)
+    return vec, load, v
 
 
 def makespan_lower_bound(instance: Instance) -> Scalar:
@@ -290,13 +288,19 @@ class RatioReport:
 def ratio_report(instance: Instance, algorithm: str,
                  instance_id: str = "") -> RatioReport:
     """Run a scheduler and compare against brute force (within the size
-    guard) or the makespan lower bound."""
+    guard) or the makespan lower bound. A rational optimum is the search's
+    integer load over speed; a float one is the optimal schedule's
+    makespan, rounded as ``build_schedule`` rounds it."""
     from .scheduler import run_scheduler
 
     trace = run_scheduler(algorithm, instance, record_trace=False)
     alg_span = trace.schedule.makespan
     if instance.m ** instance.n <= BRUTE_FORCE_GUARD:
-        opt = brute_force_opt(instance).makespan
+        if isinstance(alg_span, float):
+            opt = brute_force_opt(instance).makespan
+        else:
+            _, load, v = _search(instance)
+            opt = Fraction(load, v)
         method = "brute-force"
     else:
         opt = makespan_lower_bound(instance)

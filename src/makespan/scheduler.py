@@ -12,11 +12,23 @@ time, then least machine id.
   kinetic tournament of ``envelope.LowerEnvelope``, for ``lpt-fast`` (every
   machine admitted up front: one run of n jobs) and ``dwp-lpt`` (drones
   admitted by a battery pointer sweep: at most m + 1 runs).
+
+Rational mode runs both loops on integers. ``_scaled`` hands them the
+instance's one exact scaling, ``Instance.exact``: lengths and batteries over
+the lcm L of their denominators, and slopes P/v over the lcm P of the speed
+numerators. Every query point, slope and finish value is then an integer, a
+finish value being the finish time times L * P, so the job sort, the battery
+sweep and every LPT comparison compare integers, which decide as the
+Fractions would: the scaling is positive. In the tournament the crossing c
+of two integer lines is rounded up (``_Slope``); at an integer query point
+X, X < c exactly when X < ceil(c), so it decides exactly too. A trace's
+finish times become Fractions only at the end, F / (L * P).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import Iterator, NamedTuple, Optional
 
 from .envelope import Line, LowerEnvelope
@@ -84,36 +96,68 @@ def _previous(machines: list, values: list, zero) -> list:
     return previous
 
 
-def _job_order(instance: Instance) -> list:
+class _Slope(int):
+    """An integer slope of the rational LPT loops. The difference of two
+    slopes is a _Slope again, and an integer divided by a _Slope is rounded
+    up, so ``LowerEnvelope`` finds the crossing c of two integer lines as
+    ceil(c) and every certificate holds at the same integer query points.
+    Float lines keep true division, with no test per step."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        return _Slope(int.__sub__(self, other))
+
+    def __rtruediv__(self, other):
+        return -(-other // self)
+
+
+def _scaled(instance: Instance) -> tuple:
+    """(lengths, batteries, slopes, den): what the LPT loops decide on. Float
+    mode takes the values as given and slopes 1/v, with den None; rational
+    mode takes ``Instance.exact``, whose finish values are the finish times
+    times den = L * P."""
+    speeds = instance.speeds
+    if isinstance(speeds[0], float):
+        return instance.lengths, instance.batteries, [1 / v for v in speeds], None
+    exact = instance.exact
+    return exact.lengths, exact.batteries, exact.slopes, exact.L * exact.P
+
+
+def _finish_times(values: list, den) -> list:
+    """The finish times of decision values: themselves in float mode."""
+    return values if den is None else [Fraction(v, den) for v in values]
+
+
+def _job_order(lengths) -> list:
     # sorted() is stable, so equal lengths stay in ascending id order
-    return sorted(range(instance.n), key=instance.lengths.__getitem__, reverse=True)
+    return sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
 
 
-def _zero(instance: Instance) -> Scalar:
-    return instance.lengths[0] - instance.lengths[0]
+def _scan_lpt(instance: Instance, name: str, eligibility, record_trace: bool) -> LptTrace:
+    """The O(mn) scan shared by lpt-naive (``eligibility`` None: every
+    machine is a candidate) and lpt-restricted (the job's eligibility set).
 
-
-def _fastest_first(speeds: tuple, machines) -> list:
-    """Machine ids by non-increasing speed, ties in ascending id order."""
-    return sorted(machines, key=lambda j: (-speeds[j], j))
-
-
-def _scan_lpt(instance: Instance, name: str, candidates, record_trace: bool) -> LptTrace:
-    """The O(mn) scan shared by lpt-naive and lpt-restricted.
-
-    ``candidates[i]`` lists the machines job i may go to, fastest first (ties
-    by ascending id); the job takes the first one with the strictly least
-    finish value T + l/v, except that at an equal value on an equal speed
-    the lesser T wins. That is the envelope's rule (least value, then least
-    slope, then least intercept, then least id), which in float mode also
-    settles two machines of one speed whose rounded values tie; in rational
-    mode equal values on one speed have equal T, so it changes nothing.
+    Job i scans its candidates fastest first (least slope, ties by ascending
+    id) and takes the first one with the strictly least finish value
+    T + l/v, except that at an equal value on an equal slope the lesser T
+    wins. That is the envelope's rule (least value, then least slope, then
+    least intercept, then least id), which in float mode also settles two
+    machines of one slope whose rounded values tie; in rational mode equal
+    values on one slope have equal T, so it changes nothing.
     """
-    lengths = instance.lengths
-    inv = [1 / v for v in instance.speeds]
-    T = [_zero(instance)] * instance.m
+    lengths, _, inv, den = _scaled(instance)
+
+    def by_slope(j):
+        return inv[j], j
+
+    if eligibility is None:
+        candidates = [sorted(range(instance.m), key=by_slope)] * instance.n
+    else:
+        candidates = [sorted(machines, key=by_slope) for machines in eligibility]
+    T = [lengths[0] - lengths[0]] * instance.m
     assignment = [[] for _ in range(instance.m)]
-    order = _job_order(instance)
+    order = _job_order(lengths)
     trace = LptTrace(algorithm=name, job_ids=order if record_trace else [])
     for i in order:
         l = lengths[i]
@@ -130,6 +174,7 @@ def _scan_lpt(instance: Instance, name: str, candidates, record_trace: bool) -> 
             trace.after.append(bval)
         T[best] = bval
         assignment[best].append(i)
+    trace.after = _finish_times(trace.after, den)
     trace.counters = {"machine_scans": sum(map(len, candidates))}
     trace.schedule = build_schedule(instance, assignment)
     return trace
@@ -143,8 +188,7 @@ def lpt_naive(instance: Instance, record_trace: bool = True) -> LptTrace:
     """
     if instance.kind is not Kind.USP:
         raise UsageError("lpt_naive expects a USP instance")
-    machines = _fastest_first(instance.speeds, range(instance.m))
-    return _scan_lpt(instance, "lpt-naive", [machines] * instance.n, record_trace)
+    return _scan_lpt(instance, "lpt-naive", None, record_trace)
 
 
 def _envelope_lpt(instance: Instance, admission_order: list, name: str,
@@ -164,13 +208,15 @@ def _envelope_lpt(instance: Instance, admission_order: list, name: str,
     A trace keeps the machines and finish times ``raise_each`` returns. The
     sweep decides feasibility: it raises if no machine covers the first job.
     """
-    m, n, speeds, lengths = instance.m, instance.n, instance.speeds, instance.lengths
-    batteries = instance.batteries
-    zero = _zero(instance)
+    m, n = instance.m, instance.n
+    lengths, batteries, slopes, den = _scaled(instance)
+    if den is not None:  # integer lines: the tournament rounds crossings up
+        slopes = list(map(_Slope, slopes))
+    zero = lengths[0] - lengths[0]
     # a machine is idle until admitted, so its line is known up front
-    lines = [Line(1 / speeds[j], zero, j) for j in admission_order]
+    lines = [Line(slopes[j], zero, j) for j in admission_order]
     assignment = [[] for _ in range(m)]
-    order = _job_order(instance)
+    order = _job_order(lengths)
     trace = LptTrace(algorithm=name, job_ids=order if record_trace else [])
     env = LowerEnvelope()
     ptr = start = 0
@@ -185,8 +231,9 @@ def _envelope_lpt(instance: Instance, admission_order: list, name: str,
         if ptr > first:
             env.insert(*lines[first:ptr])
         elif ptr == 0:
-            raise InfeasibleError(
-                f"no admitted machine can carry job {order[start]} (length {scalar_to_str(l)})")
+            i = order[start]
+            raise InfeasibleError(f"no admitted machine can carry job {i} "
+                                  f"(length {scalar_to_str(instance.lengths[i])})")
         stop = min(n, start + _CHUNK)
         if ptr < m:  # the next machine's battery d fell short of this job
             k = start + 1
@@ -201,6 +248,7 @@ def _envelope_lpt(instance: Instance, admission_order: list, name: str,
         for i, j in zip(jobs, machines):
             assignment[j].append(i)
         start = stop
+    trace.after = _finish_times(trace.after, den)
     trace.counters = dict(env.counters)
     trace.schedule = build_schedule(instance, assignment)
     return trace
@@ -242,8 +290,7 @@ def lpt_restricted(instance: Instance, record_trace: bool = True) -> LptTrace:
     """LPT over arbitrary per-job eligibility sets (naive scan per job)."""
     if instance.kind is not Kind.RESTRICTED:
         raise UsageError("lpt_restricted expects a RESTRICTED instance")
-    candidates = [_fastest_first(instance.speeds, e) for e in instance.eligibility]
-    return _scan_lpt(instance, "lpt-restricted", candidates, record_trace)
+    return _scan_lpt(instance, "lpt-restricted", instance.eligibility, record_trace)
 
 
 SCHEDULERS = {

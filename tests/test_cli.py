@@ -136,6 +136,17 @@ def test_schedule_opt(dwp_file, capsys):
     validate_schema(payload, "schedule.schema.json")
 
 
+def test_schedule_opt_f64_common_denominator_past_float_range(tmp_path, capsys):
+    # 1e-300 is a dyadic rational whose denominator exceeds float range: the
+    # oracle's integer scaling must not multiply it into math.inf
+    path = tmp_path / "tiny.txt"
+    path.write_text("USP 2 3\n1\n2\n1e-300\n1\n2\n", encoding="utf-8")
+    assert main(["schedule", "--algo", "opt", "--numeric", "f64", "--input", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["makespan"] == "1.0"
+    assert payload["assignment"] == [[1], [0, 2]]
+
+
 def test_schedule_trace_flag(dwp_file, capsys):
     code = main(["schedule", "--algo", "dwp-lpt", "--input", dwp_file, "--trace"])
     assert code == 0

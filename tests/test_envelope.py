@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from makespan import (GenSpec, Line, LowerEnvelope, Mode, UsageError, dwp_lpt,
                       generate, lpt_fast)
+from makespan.scheduler import _Slope
 
 from conftest import linear_scan_min
 
@@ -539,3 +540,39 @@ def test_raise_each_stops_at_a_bad_point_after_the_steps_before_it():
     assert LowerEnvelope().raise_each([]) == ([], [])
     with pytest.raises(UsageError):
         LowerEnvelope().raise_each([F(1)])
+
+
+def test_integer_slope_divides_rounding_up():
+    # the exact LPT loops' slopes: an integer over their difference is the
+    # ceiling of the quotient, for either sign of the difference
+    assert 20 / (_Slope(7) - _Slope(4)) == 7
+    assert -20 / (_Slope(7) - _Slope(4)) == -6
+    assert 20 / (_Slope(4) - _Slope(7)) == -6
+    assert 15 / (_Slope(7) - _Slope(4)) == 5
+    assert type(_Slope(7) * 3 + 1) is int
+
+
+@pytest.mark.parametrize("steep, flat", [
+    ((7, 0), (4, 15)),    # crossing at 5, an integer
+    ((7, 0), (4, 20)),    # crossing at 20/3, between 6 and 7
+    ((9, 2), (2, 44)),    # crossing at 6
+    ((9, 2), (5, 40)),    # crossing at 19/2
+])
+def test_integer_crossing_matches_fraction_envelope(steep, flat):
+    # At integer points just below, at and above the crossing c, an envelope
+    # of _Slope lines (which finds the crossing as ceil(c)) answers as the
+    # Fraction envelope of the same lines, and so does a run of LPT steps.
+    c = F(flat[1] - steep[1], steep[0] - flat[0])
+    points = sorted({math.floor(c) - 1, math.floor(c), math.ceil(c), math.ceil(c) + 1})
+    lines = [(steep, 0), (flat, 1), ((3, 60), 2)]
+    exact, rational = LowerEnvelope(), LowerEnvelope()
+    exact.insert(*(Line(_Slope(s), b, owner) for (s, b), owner in lines))
+    rational.insert(*(Line(F(s), F(b), owner) for (s, b), owner in lines))
+    for x in points[::-1] + points + points[::-1]:
+        assert exact.query_min(x) == rational.query_min(F(x)), x
+    exact.check_invariants()
+    assert exact.counters == rational.counters
+    xs = [x for x in range(math.ceil(c) + 3, -1, -1) for _ in range(2)]
+    assert exact.raise_each(xs) == rational.raise_each(list(map(F, xs)))
+    assert exact.counters == rational.counters
+    exact.check_invariants()

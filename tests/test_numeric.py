@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from makespan import Mode, UsageError, parse_scalar, scalar_to_str
+from makespan.numeric import exact_ints
 
 rationals = st.fractions(
     min_value=Fraction(-1000), max_value=Fraction(1000), max_denominator=1000)
@@ -106,3 +107,19 @@ def test_parse_float_mode_rejects_non_finite():
     for text in ("inf", "-inf", "nan", "1e400", "1e300/1e-300"):
         with pytest.raises(UsageError):
             parse_scalar(text, Mode.F64)
+
+
+def test_exact_ints_scale_to_the_least_common_denominator():
+    ints, den = exact_ints([Fraction(1, 6), None, Fraction(3, 4), Fraction(2)])
+    assert (ints, den) == ([2, None, 9, 24], 12)
+    ints, den = exact_ints([0.5, 0.375, None])
+    assert (ints, den) == ([4, 3, None], 8)
+    ints, den = exact_ints([Fraction(3, 2), Fraction(5, 4), Fraction(7)], invert=True)
+    assert (ints, den) == ([70, 84, 15], 105)  # 2/3, 4/5 and 1/7 over 105
+
+
+def test_exact_ints_leave_none_alone_past_float_range():
+    # a denominator beyond float range must not meet math.inf
+    ints, den = exact_ints([1e-300, None, 1.0])
+    assert den > 2 ** 1024 and ints[1] is None
+    assert Fraction(ints[0], den) == Fraction(1e-300) and ints[2] == den

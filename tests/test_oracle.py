@@ -275,3 +275,17 @@ def test_ratio_report_lower_bound_fallback():
     report = ratio_report(inst, "lpt-fast")
     assert report.opt_method == "lower-bound"
     assert report.ratio >= 1
+
+
+def test_opt_with_a_common_denominator_past_float_range():
+    # lengths k / (10**40 + 3)**k: the common denominator has 1063 bits, and
+    # the unbounded batteries must stay unbounded rather than inf times it
+    q = 10 ** 40 + 3
+    lengths = [F(k, q ** k) for k in range(1, 9)]
+    for inst, algorithm in ((usp([F(1), F(2)], lengths), "lpt-naive"),
+                            (dwp([(F(1), None), (F(2), None)], lengths), "dwp-lpt")):
+        span, vec = exhaustive_opt(inst)
+        sched = brute_force_opt(inst)
+        assert sched.makespan == span
+        assert assignment_vector(sched, inst.n) == vec
+        assert ratio_report(inst, algorithm).opt_value == span

@@ -4,10 +4,12 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from makespan import (GenSpec, InfeasibleError, Mode, UsageError,
+from makespan import (GenSpec, InfeasibleError, Instance, Kind, Mode, UsageError,
                       brute_force_opt, dwp_lpt, generate, lpt_fast, lpt_naive,
                       lpt_restricted, run_scheduler, validate)
+from makespan.cli import parse_instance_text
 from makespan.numeric import scalar_to_str
 
 from conftest import dwp, restricted, usp
@@ -364,3 +366,78 @@ def test_envelope_work_counters_pinned():
     tournament that moves it must say so here."""
     assert envelope_counter_digest(("replays", "comparisons")) == (
         "adff87b79b6fae5dbf8b752578c05a1aae6c5893321eb3825040d8615b789978")
+
+
+# -- rational mode on scaled integers ------------------------------------------
+
+SPEED_PRIMES = (999_983, 1_000_003, 1_000_033, 1_000_037, 1_000_039, 7, 11, 13)
+LENGTH_PRIMES = (2, 3, 101, 10 ** 9 + 7, 2 ** 61 - 1, 10 ** 18 + 9)
+
+
+def replay_lpt(instance, eligible):
+    """The LPT rule in plain Fractions: jobs by non-increasing length (ties by
+    id), each to the machine of eligible(i) with the least finish value, then
+    the greatest speed, then the least finish time, then the least id."""
+    lengths, speeds = instance.lengths, instance.speeds
+    T = [F(0)] * instance.m
+    steps = []
+    for i in sorted(range(instance.n), key=lambda i: (-lengths[i], i)):
+        l = lengths[i]
+        j = min(eligible(i), key=lambda j: (T[j] + l / speeds[j], -speeds[j], T[j], j))
+        steps.append((i, j, T[j], T[j] + l / speeds[j]))
+        T[j] += l / speeds[j]
+    return steps
+
+
+@st.composite
+def exact_instances(draw):
+    """Instance texts: speeds p/q with coprime numerators (a machine may
+    repeat another's speed), lengths k/q with prime q, drawn from a small
+    pool so that lengths and finish values tie."""
+    m = draw(st.integers(1, 6))
+    pool = [f"{p}/{draw(st.integers(1, 10 ** 6))}"
+            for p in draw(st.permutations(SPEED_PRIMES))[:m]]
+    speeds = [draw(st.sampled_from(pool)) for _ in range(m)]
+    lengths = [f"{draw(st.integers(1, 10 ** 12))}/{draw(st.sampled_from(LENGTH_PRIMES))}"
+               for _ in range(draw(st.integers(1, 8)))]
+    jobs = [draw(st.sampled_from(lengths)) for _ in range(draw(st.integers(1, 40)))]
+    cuts = [draw(st.sampled_from(jobs)) for _ in range(m)]
+    eligible = [draw(st.sets(st.integers(0, m - 1), min_size=1)) for _ in jobs]
+    head = f"{m} {len(jobs)}\n"
+    return {
+        "USP": "USP " + head + "".join(f"{v}\n" for v in speeds) + "".join(
+            f"{l}\n" for l in jobs),
+        "DWP": "DWP " + head + "".join(
+            f"{v} {d}\n" for v, d in zip(speeds, [max(jobs, key=F)] + cuts[1:])) + "".join(
+            f"{l}\n" for l in jobs),
+        "RESTRICTED": "RESTRICTED " + head + "".join(f"{v}\n" for v in speeds) + "".join(
+            f"{l} {len(e)} {' '.join(map(str, sorted(e)))}\n" for l, e in zip(jobs, eligible)),
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(texts=exact_instances())
+def test_exact_schedulers_follow_the_fraction_lpt_rule(texts):
+    # Every rational scheduler decides on scaled integers; its decisions,
+    # finish times and schedule must be those of the Fraction replay.
+    usp_inst = parse_instance_text(texts["USP"], Mode.RATIONAL)
+    drones = parse_instance_text(texts["DWP"], Mode.RATIONAL)
+    unbounded = Instance(Kind.DWP, usp_inst.speeds, usp_inst.batteries, usp_inst.lengths)
+    restricted_inst = parse_instance_text(texts["RESTRICTED"], Mode.RATIONAL)
+    everyone = range(usp_inst.m)
+    runs = [
+        (lpt_naive, usp_inst, lambda i: everyone),
+        (lpt_fast, usp_inst, lambda i: everyone),
+        (dwp_lpt, unbounded, lambda i: everyone),
+        (dwp_lpt, drones, lambda i: [j for j in everyone
+                                     if drones.batteries[j] >= drones.lengths[i]]),
+        (lpt_restricted, restricted_inst, lambda i: restricted_inst.eligibility[i]),
+    ]
+    for scheduler, instance, eligible in runs:
+        trace = scheduler(instance)
+        want = replay_lpt(instance, eligible)
+        assert decisions(trace) == want, trace.algorithm
+        loads = [sum((instance.lengths[i] for i in jobs), F(0))
+                 for jobs in trace.schedule.assignment]
+        assert list(trace.schedule.loads) == loads
+        assert trace.schedule.makespan == max(step[3] for step in want)
