@@ -13,11 +13,13 @@ structures for mobile data", J. Algorithms 31, 1999) over per-slope buckets:
 
 * each leaf holds the lines of one slope in a lazy heap on (intercept,
   owner); only its minimum can win, so the leaf offers just that line;
-* each node of the tree is one (lo, hi, winner) tuple: the winner of its two
-  children at the current query point x, and the interval [lo, hi) of x on
-  which that comparison and every comparison below it still hold. Two lines
-  of different slopes cross once: the steeper one wins iff x is left of the
-  crossing, which also settles ties (at equal value the lesser slope wins);
+* each node of the tree is one (lo, winner) pair: the winner of its two
+  children at the current query point x, and the least x at which that
+  comparison and every comparison below it still hold. Two lines of
+  different slopes cross once: the steeper one wins iff x is left of the
+  crossing (at equal value the lesser slope wins). A win of the flatter
+  line raises lo to the crossing; a win of the steeper one lowers the
+  envelope's one horizon to it. Every node holds for lo <= x < horizon;
 * the leaf row is sized once per batch: the first batch gets exactly one
   leaf per slope, and a later batch that brings more slopes than the row
   holds doubles it until they fit, then replays every node once. Leaves are
@@ -30,32 +32,27 @@ structures for mobile data", J. Algorithms 31, 1999) over per-slope buckets:
 * at most one leaf is pending: its minimum changed (a delete or a raise of
   its winner) and its path to the root is stale. The next query replays
   that path at the query's own x, walking up from the leaf; a sibling whose
-  certificate x breaks is repaired first, so no node on the path is
-  replayed twice. With nothing pending a query replays only the nodes whose
-  interval excludes x. An insert batch replays, at the last query point, the
+  lo exceeds x is repaired first, so no node on the path is replayed
+  twice. With nothing pending a query replays only the nodes whose lo
+  exceeds x. An insert batch replays, at the last query point, the
   union of the paths of the leaves whose minimum it lowered, each up to
   where it meets the pending path, and leaves the pending leaf pending. An
   LPT step costs one path replay, and a raise refreshes its leaf's node from
   the bucket at once, so the next step of the run starts from it;
 * when one leaf wins three queries in a row, the query caches the leaf's
-  rival: the best line beside its path, with the interval on which it stays
+  rival: the best line beside its path, with the lo from which it stays
   best. While that leaf is pending and no other leaf has changed, a query
-  inside the interval compares the leaf's new minimum with the rival and,
+  at or above that lo compares the leaf's new minimum with the rival and,
   if it wins, answers without replaying the path.
 
-A query at a new x also replays every node whose certificate failed, so
-queries at arbitrary points have no logarithmic bound. The LPT pattern
-(query points that only shrink, one raised line per query) has a measured
-one: tests/test_envelope.py holds node replays per job, queries and updates
-together, under 1.1 per level of ceil(log2 S) at m = 100 to 4000 machines
-and n = 10m jobs. Measured per level at m = 100, 800, 2000, 4000: 0.97,
-0.98, 1.02, 1.02 for lpt-fast with distinct speeds (1.08 to 1.22 with
-leaves in machine-id order) and 0.77, 0.83, 0.85, 0.86 for dwp-lpt with
-distinct speeds; 0.95, 0.78, 0.49, 0.28 for lpt-fast on 301 shared slopes,
-where buckets fill and the rival check answers most queries. Without the
-rival those last read 0.95, 0.91, 0.91, 0.91, and lpt-fast on 301 slopes
-ran faster up to m = 2000 but 1.38x slower at m = 8000 and 1.1 to 1.5x
-slower at n = 10**6, m = 10**5 (see README).
+A query at or above the horizon replays all C - 1 internal nodes and
+starts the horizon over at +inf, so queries at arbitrary points have no
+logarithmic bound. LPT never does: it admits its first batch at x = 0 with
+zero intercepts, so the flatter line wins everywhere (horizon +inf); a
+later steeper win sets the horizon to a crossing above its step's point,
+and the points only fall (dwp-lpt admits later batches at the last one).
+On that pattern tests/test_envelope.py holds node replays per job under
+1.1 per level of ceil(log2 S) at m = 100 to 4000, n = 10m (see README).
 """
 
 from __future__ import annotations
@@ -69,7 +66,7 @@ from .numeric import Scalar, scalar_to_str
 
 _NEG_INF = float("-inf")
 _POS_INF = float("inf")
-_EMPTY = (_NEG_INF, _POS_INF, None)  # a node without lines, valid everywhere
+_EMPTY = (_NEG_INF, None)  # a node without lines, valid everywhere
 
 
 class Line(NamedTuple):
@@ -88,17 +85,17 @@ class LowerEnvelope:
         self._leaf_of = {}       # slope -> leaf index
         self._heaps = []         # leaf index -> lazy min-heap of entries
         self._x = 0              # the point every node off the pending path is valid at
+        self._horizon = _POS_INF  # every node and the rival hold below it
         self._dirty = None       # pending leaf: its path is replayed by the next query
-        # (leaf, line, lo, hi): the best line outside that leaf's subtree,
-        # valid for x in [lo, hi) while no other leaf changes.
+        # (leaf, line, lo): the best line outside that leaf's subtree, valid
+        # for lo <= x < _horizon while no other leaf changes.
         self._rival = None
         self._streak = 0         # queries in a row won by the pending leaf
         # Heap-ordered tree: node k has children 2k, 2k+1; leaf i is node
         # _cap + i, and nodes 1.._cap-1 are internal (any _cap >= 1 makes a
         # binary tree; _cap 0 is the tree without leaves). Each node is
-        # (lo, hi, winning entry or None); a leaf's winner is its bucket
-        # minimum, or a deleted entry while it is pending, and its interval
-        # is everything.
+        # (lo, winning entry or None); a leaf's winner is its bucket
+        # minimum, or a deleted entry while it is pending, and its lo -inf.
         self._cap = 0
         self._nodes = []
         self.counters = {
@@ -140,7 +137,7 @@ class LowerEnvelope:
             entry = where[owner] = (icept, owner, slope, leaf)
             heappush(heaps[leaf], entry)
             if leaf != dirty and leaf < cap:
-                best = nodes[cap + leaf][2]
+                best = nodes[cap + leaf][1]
                 if best is None or entry < best:
                     changed.append(leaf)
         if len(heaps) > cap:
@@ -155,7 +152,7 @@ class LowerEnvelope:
             raise UsageError(f"no stored line with owner {owner}")
         self.counters["deletes"] += 1
         leaf = entry[3]
-        if self._nodes[self._cap + leaf][2] is not entry:
+        if self._nodes[self._cap + leaf][1] is not entry:
             return  # not the bucket minimum (or the leaf is already pending)
         heap = self._heaps[leaf]
         if heap[0] is entry:  # else a smaller line arrived while pending
@@ -203,9 +200,9 @@ class LowerEnvelope:
     def _steps(self, xs, lift):
         """Query at each x of the sequence xs in turn and, with lift, raise
         each winner to its value there; returns the lists (owners, values).
-        The state and the counts live in locals and are stored back once,
-        also when a bad x stops the run. A raise refreshes its leaf's node
-        at once, so no step of the run refreshes the pending leaf."""
+        The counts and the state but the horizon live in locals and are
+        stored back once, also when a bad x stops the run. A raise refreshes
+        its leaf's node at once, so no step of the run refreshes it."""
         where, heaps, nodes, cap = self._where, self._heaps, self._nodes, self._cap
         if xs and not where:
             raise UsageError("query on an empty envelope")
@@ -218,66 +215,65 @@ class LowerEnvelope:
             for x in xs:
                 if not x >= 0:  # also rejects nan
                     raise UsageError(f"query point must be >= 0, got {scalar_to_str(x)}")
+                if x >= self._horizon:  # a steeper winner may have lost: replay all
+                    self._rebuild(x)
+                    leaf = rival = None
                 if leaf is None:
                     at, streak = x, 0
-                    lo, hi, best = nodes[1]
-                    if not lo <= x < hi:
+                    if nodes[1][0] > x:
                         self._x = x
                         self._repair(1)
-                        best = nodes[1][2]
+                    best = nodes[1][1]
                 else:
                     k = cap + leaf
-                    lo, hi, best = nodes[k]
+                    best = nodes[k][1]
                     if rival is not None and rival[0] != leaf:
                         rival = None  # another leaf's rival: this leaf's change voids it
-                    # LPT often picks the same slope again: if the pending
-                    # leaf's minimum beats its rival, the path need not be
-                    # replayed.
-                    hit = rival is not None and best is not None and rival[2] <= x < rival[3]
+                    # LPT often picks the same slope again: if the leaf's
+                    # new minimum beats its rival, no path is replayed.
+                    hit = rival is not None and best is not None and rival[2] <= x
                     if hit and rival[1] is not None:
                         comparisons += 1
                         hit = _decide(best, rival[1], x, _NEG_INF, _POS_INF)[0] is best
                     if not hit:
-                        # Replay the pending path at x from the leaf up,
-                        # carrying the node just computed as one child (no
-                        # two leaves share a slope, so which child is which
-                        # changes no result). A sibling is valid at the old
-                        # point, so only one that cuts the carried interval
-                        # can exclude x: it is repaired and the step redone.
+                        # Replay the pending path at x from the leaf up, carrying
+                        # the winner a (no two leaves share a slope, so which
+                        # child is which changes no result). A sibling holds at
+                        # the old point; if its lo exceeds x, it is repaired.
                         at = self._x = x
-                        replays += k.bit_length() - 1
-                        a = best
+                        depth = k.bit_length() - 1  # the path's comparisons, less empty sides
+                        replays, comparisons = replays + depth, comparisons + depth
+                        a, lo, hi = best, _NEG_INF, _POS_INF
+                        if a is not None:
+                            icept, slope = a[0], a[2]
                         while k > 1:
-                            slo, shi, b = nodes[k ^ 1]
+                            slo, b = nodes[k ^ 1]
                             if slo > lo:
                                 if slo > x:
                                     self._repair(k ^ 1)
-                                    lo, hi, a = nodes[k]
                                     continue
                                 lo = slo
-                            if shi < hi:
-                                if shi <= x:
-                                    self._repair(k ^ 1)
-                                    lo, hi, a = nodes[k]
-                                    continue
-                                hi = shi
                             k >>= 1
-                            if a is None:
-                                a = b
-                            elif b is not None:
-                                # _decide, inline: calling it here made LPT runs 1.2x slower
-                                comparisons += 1
-                                if a[2] < b[2]:
-                                    a, b = b, a  # a is the steeper line
-                                cross = (b[0] - a[0]) / (a[2] - b[2])
-                                if x < cross:
+                            if a is None or b is None:  # nothing to compare
+                                comparisons -= 1
+                                if b is not None:
+                                    a, icept, slope = b, b[0], b[2]
+                            else:  # _decide, inline: calling it made LPT runs 1.2x slower
+                                bslope = b[2]
+                                cross = (b[0] - icept) / (slope - bslope)
+                                if x < cross:  # the steeper line wins below cross
                                     if cross < hi:
                                         hi = cross
-                                else:
-                                    a = b
+                                    if bslope > slope:
+                                        a, icept, slope = b, b[0], bslope
+                                else:  # the flatter line wins from cross on
                                     if cross > lo:
                                         lo = cross
-                            nodes[k] = (lo, hi, a)
+                                    if bslope < slope:
+                                        a, icept, slope = b, b[0], bslope
+                            nodes[k] = (lo, a)
+                        if hi < self._horizon:
+                            self._horizon = hi
                         if a[3] != leaf:
                             streak = 0
                         else:
@@ -297,7 +293,7 @@ class LowerEnvelope:
                     while where.get(top[1]) is not top:  # drop deleted lines
                         heappop(heap)
                         top = heap[0]
-                    nodes[cap + won] = (_NEG_INF, _POS_INF, top)
+                    nodes[cap + won] = (_NEG_INF, top)
                     leaf = won
                 owners.append(owner)
                 values.append(value)
@@ -323,21 +319,27 @@ class LowerEnvelope:
             cap *= 2
         self._cap = cap
         self._nodes = [_EMPTY] * (2 * cap)
-        self._dirty = self._rival = None
         for leaf in range(leaves):
             self._refresh(leaf)
-        self._replay(range(cap - 1, 0, -1))
+        self._rebuild(self._x)
+
+    def _rebuild(self, x) -> None:
+        """Replay every internal node at x from fresh leaves, starting the
+        horizon over at +inf; drop the pending leaf and the rival."""
+        self._x, self._dirty, self._rival = x, None, None
+        self._horizon = _POS_INF
+        self._replay(range(self._cap - 1, 0, -1))
 
     def _refresh(self, leaf: int) -> None:
         """Drop deleted entries from the top of the leaf's heap and offer
         its minimum."""
         heap, where, nodes = self._heaps[leaf], self._where, self._nodes
         node = self._cap + leaf
-        if heap and nodes[node][2] is heap[0]:
+        if heap and nodes[node][1] is heap[0]:
             return  # refreshed since the last change
         while heap and where.get(heap[0][1]) is not heap[0]:
             heappop(heap)
-        nodes[node] = (_NEG_INF, _POS_INF, heap[0] if heap else None)
+        nodes[node] = (_NEG_INF, heap[0] if heap else None)
 
     def _replay_paths(self, leaves) -> None:
         """Refresh these leaves, none of them pending, and replay their paths
@@ -360,14 +362,13 @@ class LowerEnvelope:
         self._replay(order)
 
     def _repair(self, top: int) -> None:
-        """Replay every node under top (top included) whose certificate
-        excludes _x; a node whose interval holds _x vouches for its subtree."""
+        """Replay every node under top (top included) whose lo exceeds _x; a
+        node whose lo does not vouches for its subtree."""
         nodes, x = self._nodes, self._x
         failed, stack = [], [top]
         while stack:
             k = stack.pop()
-            lo, hi, _ = nodes[k]
-            if not lo <= x < hi:  # leaves never fail
+            if nodes[k][0] > x:  # leaves never fail
                 failed.append(k)
                 stack.append(2 * k)
                 stack.append(2 * k + 1)
@@ -375,40 +376,41 @@ class LowerEnvelope:
         self._replay(failed)
 
     def _find_rival(self, leaf: int, x):
-        """The leaf's rival: the winners beside its path folded at x, where
-        every node is valid."""
-        nodes = self._nodes
-        rival, rlo, rhi = None, _NEG_INF, _POS_INF
+        """The leaf's rival and its lo: the winners beside its path folded at
+        x, where every node is valid; a steeper line's win lowers the horizon."""
+        nodes, horizon = self._nodes, self._horizon
+        rival, rlo, comparisons = None, _NEG_INF, 0
         node = self._cap + leaf
         while node > 1:
-            slo, shi, line = nodes[node ^ 1]
-            rlo, rhi = max(rlo, slo), min(rhi, shi)
+            slo, line = nodes[node ^ 1]
+            rlo = max(rlo, slo)
             if rival is None:
                 rival = line
             elif line is not None:
-                rival, rlo, rhi = _decide(rival, line, x, rlo, rhi)
-                self.counters["comparisons"] += 1
+                comparisons += 1
+                rival, rlo, horizon = _decide(rival, line, x, rlo, horizon)
             node >>= 1
-        return leaf, rival, rlo, rhi
+        self._horizon = horizon
+        self.counters["comparisons"] += comparisons
+        return leaf, rival, rlo
 
     def _replay(self, order) -> None:
         """Recompute each node from its children at the current x, in order.
-        A node's interval is its own comparison's, cut to both children's."""
-        nodes, x = self._nodes, self._x
+        A node's lo is its own comparison's, raised to both children's."""
+        nodes, x, horizon = self._nodes, self._x, self._horizon
         comparisons = 0
         for k in order:
-            klo, khi, a = nodes[2 * k]
-            other, ohi, b = nodes[2 * k + 1]
+            klo, a = nodes[2 * k]
+            other, b = nodes[2 * k + 1]
             if other > klo:
                 klo = other
-            if ohi < khi:
-                khi = ohi
             if a is None:
                 a = b
             elif b is not None:
                 comparisons += 1
-                a, klo, khi = _decide(a, b, x, klo, khi)
-            nodes[k] = (klo, khi, a)
+                a, klo, horizon = _decide(a, b, x, klo, horizon)
+            nodes[k] = (klo, a)
+        self._horizon = horizon
         counters = self.counters
         counters["replays"] += len(order)
         counters["comparisons"] += comparisons
@@ -418,7 +420,7 @@ class LowerEnvelope:
     def _hull_chain(self) -> list:
         """Bucket minima on the envelope, steepest first (Graham chain over
         the strict lower hull of the dual points)."""
-        pts = sorted((Line(e[2], e[0], e[1]) for _, _, e in self._nodes[self._cap:]
+        pts = sorted((Line(e[2], e[0], e[1]) for _, e in self._nodes[self._cap:]
                       if e is not None), reverse=True)  # distinct slopes
         chain = []
         for p in pts:
@@ -430,10 +432,10 @@ class LowerEnvelope:
     def check_invariants(self) -> None:
         """Check every leaf against its bucket, and every node against the
         minimum over its subtree's leaves at _x (by value, so exact only in
-        rational mode) and against its children's intervals. The pending
-        leaf's path is skipped: it holds until the next query replays it.
-        Test hook, not hot path."""
-        cap, x, nodes = self._cap, self._x, self._nodes
+        rational mode), its children's lo and the horizon, which must lie
+        above _x and no stored steeper winner's crossing. The pending path is
+        skipped until the next query replays it. Test hook, not hot path."""
+        cap, x, nodes, horizon = self._cap, self._x, self._nodes, self._horizon
         assert len(nodes) == 2 * cap and len(self._heaps) <= cap
         stale = set()  # the pending leaf and its ancestors
         k = cap + self._dirty if self._dirty is not None else 0
@@ -445,45 +447,43 @@ class LowerEnvelope:
             assert self._leaf_of[e[2]] == e[3]
             if e[3] not in buckets or e < buckets[e[3]]:
                 buckets[e[3]] = e
-        for leaf in range(cap):
-            want = buckets.get(leaf)
-            got = nodes[cap + leaf][2]
-            assert cap + leaf in stale or got is want, f"leaf {leaf}: {got} != {want}"
 
         def value(e):
             return e[2] * x + e[0], e[2]
 
-        def subtree_min(k):
+        def checked_winner(k):
+            lo, got = nodes[k]
             if k >= cap:
-                return nodes[k][2]
-            mins = [e for e in (subtree_min(2 * k), subtree_min(2 * k + 1)) if e is not None]
-            want = min(mins, key=value, default=None)
-            if k not in stale:
-                lo, hi, got = nodes[k]
-                assert got is want, f"node {k} at x={x}: {got} != {want}"
-                assert lo <= x < hi, f"node {k} certificate excludes x"
-                for lo_c, hi_c, _ in (nodes[2 * k], nodes[2 * k + 1]):
-                    assert lo_c <= lo and hi <= hi_c, f"node {k} outgrows a child"
-            return want
+                want = buckets.get(k - cap)
+            else:
+                a, b = checked_winner(2 * k), checked_winner(2 * k + 1)
+                want = min((e for e in (a, b) if e is not None), key=value, default=None)
+                if k not in stale:
+                    assert lo <= x < horizon, f"node {k} certificate excludes x"
+                    assert nodes[2 * k][0] <= lo >= nodes[2 * k + 1][0], f"node {k} outgrows a child"
+                    if a is not None and b is not None:
+                        _, cut, hi = _decide(a, b, x, _NEG_INF, _POS_INF)
+                        assert cut <= lo and horizon <= hi, f"node {k} outlives its crossing"
+            assert k in stale or got is want, f"node {k} at x={x}: {got} != {want}"
+            return got
 
         if cap:
-            subtree_min(1)
+            checked_winner(1)
         if self._rival is not None and self._dirty in (None, self._rival[0]):
-            leaf, line, rlo, rhi = self._rival
+            leaf, line, rlo = self._rival
             want = min((e for i, e in buckets.items() if i != leaf), key=value, default=None)
-            assert not rlo <= x < rhi or line is want, f"rival of leaf {leaf} at x={x}"
+            assert not rlo <= x or line is want, f"rival of leaf {leaf} at x={x}"
 
 
 def _decide(a, b, x, lo, hi):
-    """The winner at x of two lines of different slopes, and [lo, hi) cut to
-    the interval on which it stays the winner: the steeper line wins iff x
-    is left of the crossing, so at equal value the lesser slope wins."""
-    if a[2] < b[2]:
-        a, b = b, a  # a is the steeper line
+    """The winner at x of two lines of different slopes, with lo raised to
+    their crossing if the flatter line wins (from there on), or hi lowered
+    to it if the steeper one wins (left of it): at equal value the lesser
+    slope wins. Either order of a and b gives the same crossing."""
     cross = (b[0] - a[0]) / (a[2] - b[2])
     if x < cross:
-        return a, lo, cross if cross < hi else hi
-    return b, cross if cross > lo else lo, hi
+        return a if a[2] > b[2] else b, lo, cross if cross < hi else hi
+    return b if a[2] > b[2] else a, cross if cross > lo else lo, hi
 
 
 def _common_ancestor(a: int, b: int) -> int:

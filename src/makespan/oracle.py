@@ -109,7 +109,10 @@ def _fits(jobs, choices, lengths, twin, loads, caps, vec) -> bool:
 
     rooms = [cap - load for cap, load in zip(caps, loads)]
     spare = sum(r for r in rooms if r >= shortest) - sum(map(lengths.__getitem__, jobs))
-    return spare >= 0 and place(0, spare)
+    try:
+        return spare >= 0 and place(0, spare)
+    finally:
+        del place  # it refers to itself: break the cycle, leave no garbage
 
 
 def brute_force_opt(instance: Instance) -> Schedule:

@@ -99,9 +99,9 @@ def _previous(machines: list, values: list, zero) -> list:
 class _Slope(int):
     """An integer slope of the rational LPT loops. The difference of two
     slopes is a _Slope again, and an integer divided by a _Slope is rounded
-    up, so ``LowerEnvelope`` finds the crossing c of two integer lines as
-    ceil(c) and every certificate holds at the same integer query points.
-    Float lines keep true division, with no test per step."""
+    up for either sign, so ``LowerEnvelope`` finds the crossing c of two
+    integer lines as ceil(c) in either order, and every certificate holds at
+    the same integer query points. Float lines keep true division."""
 
     __slots__ = ()
 

@@ -576,3 +576,50 @@ def test_integer_crossing_matches_fraction_envelope(steep, flat):
     assert exact.raise_each(xs) == rational.raise_each(list(map(F, xs)))
     assert exact.counters == rational.counters
     exact.check_invariants()
+
+
+@pytest.mark.parametrize("slopes", [3, 40])
+def test_query_at_the_horizon_replays_every_node_once(slopes):
+    # A falling run of LPT steps lets steeper lines win, so the horizon is
+    # finite but above every point of the run. A query at or above it may
+    # find a steeper winner beaten: it replays all C - 1 internal nodes of a
+    # row of C leaves once, drops the pending leaf and the rival, and
+    # answers as the scan does.
+    rng = random.Random(slopes)
+    env = LowerEnvelope()
+    env.insert(*(Line(F(1, rng.randint(1, slopes)), F(0), j) for j in range(60)))
+    assert env._horizon == math.inf  # zero intercepts at x = 0: the flatter line wins
+    for scale in (1, 2):
+        start = env._x or F(5000, 7)
+        env.raise_each([start * (300 - k) / 300 for k in range(100)])
+        assert env._x < env._horizon < math.inf and env._dirty is not None
+        env.check_invariants()
+        x = scale * env._horizon
+        before = env.counters["replays"]
+        assert env.query_min(x) == linear_scan_min(env, x)
+        assert env.counters["replays"] - before == env._cap - 1
+        assert env._dirty is None and x < env._horizon
+        env.check_invariants()
+
+
+@pytest.mark.parametrize("mode", [Mode.F64, Mode.RATIONAL])
+@pytest.mark.parametrize("scheduler, family, options", [
+    (lpt_fast, "uniform-usp", DISTINCT),
+    (lpt_fast, "uniform-usp", {}),
+    (dwp_lpt, "uniform-dwp", DISTINCT),
+    (dwp_lpt, "uniform-dwp", {}),
+], ids=["usp-distinct", "usp-shared", "dwp-distinct", "dwp-shared"])
+def test_lpt_never_rebuilds_after_admission(monkeypatch, mode, scheduler, family, options):
+    # LPT's query points only fall and later batches are admitted at the
+    # last of them, so no query reaches the horizon: the only full replays
+    # are the builds of the leaf row.
+    calls = {"_grow": 0, "_rebuild": 0}
+    for name in calls:
+        def spy(self, *args, method=getattr(LowerEnvelope, name), name=name):
+            calls[name] += 1
+            method(self, *args)
+        monkeypatch.setattr(LowerEnvelope, name, spy)
+    for seed in range(4):
+        spec = GenSpec(family=family, n=600, m=60, seed=seed, **options)
+        scheduler(generate(spec, mode), record_trace=False)
+    assert calls["_rebuild"] == calls["_grow"] >= 4, calls

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import random
@@ -5,9 +6,9 @@ from fractions import Fraction as F
 
 import pytest
 
-from makespan import (InfeasibleError, Instance, SizeGuardError, UsageError,
-                      brute_force_opt, dwp_lpt, le_phi, makespan_lower_bound,
-                      ratio_report, round_r)
+from makespan import (GenSpec, InfeasibleError, Instance, Mode, SizeGuardError,
+                      UsageError, brute_force_opt, dwp_lpt, generate, le_phi,
+                      makespan_lower_bound, ratio_report, round_r)
 
 from conftest import dwp, restricted, usp
 
@@ -289,3 +290,23 @@ def test_opt_with_a_common_denominator_past_float_range():
         assert sched.makespan == span
         assert assignment_vector(sched, inst.n) == vec
         assert ratio_report(inst, algorithm).opt_value == span
+
+
+@pytest.mark.parametrize("mode", [Mode.F64, Mode.RATIONAL])
+def test_searches_and_lpt_runs_leave_no_cyclic_garbage(mode):
+    # The search's recursive closure refers to itself; every search must
+    # break that cycle, or each leaves garbage only the cyclic collector frees.
+    runs = [(generate(GenSpec(family=family, n=8, m=3, seed=seed), mode), algorithm)
+            for family, algorithm in (("uniform-usp", "lpt-fast"),
+                                      ("uniform-dwp", "dwp-lpt"),
+                                      ("equal-speed", "lpt-naive"))
+            for seed in range(3)]
+    gc.disable()
+    try:
+        gc.collect()
+        for instance, algorithm in runs:
+            brute_force_opt(instance)
+            ratio_report(instance, algorithm)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
