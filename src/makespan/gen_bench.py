@@ -25,10 +25,10 @@ from itertools import repeat
 from operator import truediv
 from typing import Optional
 
-from .errors import UsageError
+from .errors import SizeGuardError, UsageError
 from .model import Instance, Kind
 from .numeric import Mode, scalar_to_str
-from .oracle import PHI, le_phi, ratio_report
+from .oracle import BRUTE_FORCE_GUARD, PHI, le_phi, ratio_report
 from .scheduler import run_scheduler
 
 FAMILIES = (
@@ -220,14 +220,14 @@ def write_instance(instance: Instance) -> str:
 
 # -- ratio sweeps --------------------------------------------------------------
 
-_HIST_EDGES = [Fraction(100 + 5 * k, 100) for k in range(21)]  # 1.00 .. 2.00
+# bin k < 20 holds ratios in [1 + k/20, 1 + (k+1)/20), bin 0 also those below
+_HIST_LABELS = [f"[{(100 + 5 * k) / 100:.2f},{(105 + 5 * k) / 100:.2f})"
+                for k in range(20)] + [">=2.00"]
 
 
 def _hist_bin(ratio) -> str:
-    for k in range(len(_HIST_EDGES) - 1):
-        if ratio < _HIST_EDGES[k + 1]:
-            return f"[{float(_HIST_EDGES[k]):.2f},{float(_HIST_EDGES[k + 1]):.2f})"
-    return ">=2.00"
+    p, q = ratio.as_integer_ratio()
+    return _HIST_LABELS[min(max(20 * p // q - 20, 0), 20)]
 
 
 def _exceeds(ratio: Fraction, bound) -> bool:
@@ -299,6 +299,10 @@ def _sweep_chunk(args) -> SweepResult:
         spec = _sweep_spec(family, index, seed, n_max, m_max, eps, distinct_speeds)
         instance = generate(spec, Mode.RATIONAL)
         report = ratio_report(instance, algorithm, instance_id=f"{family}-{spec.seed}")
+        if report.opt_method != "brute-force":  # a lower bound is no exact ratio
+            raise SizeGuardError(f"instance {report.instance_id}: m^n = {instance.m}^"
+                                 f"{instance.n} exceeds the {BRUTE_FORCE_GUARD:g} guard "
+                                 f"of the exact ratio")
         ratio = report.ratio
         bin_key = _hist_bin(ratio)
         part.histogram[bin_key] = part.histogram.get(bin_key, 0) + 1

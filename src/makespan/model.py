@@ -121,8 +121,9 @@ class Instance:
     @cached_property
     def exact(self) -> ExactScaling:
         """The instance scaled to integers, computed once: the LPT loops and
-        ``build_schedule`` decide on it in rational mode. L is the lcm of
-        the length and battery denominators, P that of the speed numerators."""
+        ``build_schedule`` decide on it in rational mode, the oracle in both.
+        L is the lcm of the length and battery denominators, P that of the
+        speed numerators (of a float's exact ratio in float mode)."""
         n = self.n
         ints, L = exact_ints(self.lengths + self.batteries)
         slopes, P = exact_ints(self.speeds, invert=True)

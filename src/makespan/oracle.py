@@ -2,8 +2,9 @@
 half-integral rounding function, and exact golden-ratio comparisons.
 
 The golden ratio phi = (1+sqrt 5)/2 satisfies phi^2 = phi + 1, so "x <= phi"
-for rational x >= 0 is decided exactly by the integer sign test
-x^2 <= x + 1 - no irrational constant ever enters a rational-mode comparison.
+for rational x = p/q >= 0 is decided exactly by the integer test
+p^2 <= (p + q) q, that is x^2 <= x + 1 - no irrational constant ever enters a
+rational-mode comparison.
 """
 
 from __future__ import annotations
@@ -12,11 +13,12 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from .errors import InfeasibleError, SizeGuardError, UsageError
 from .model import (Instance, Kind, Schedule, battery_order, build_schedule,
                     feasibility_check)
-from .numeric import Scalar, exact_ints, scalar_to_str
+from .numeric import Scalar, scalar_to_str
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
@@ -25,16 +27,18 @@ BRUTE_FORCE_GUARD = 10 ** 8
 
 
 def le_phi(x: Scalar) -> bool:
-    """x <= phi, exact for rationals (x = phi cannot occur for rational x)."""
+    """x <= phi, exact for rationals: x = p/q (q > 0) passes iff p < 0 or
+    p^2 <= (p + q) q, which is x^2 <= x + 1 on integers."""
     if isinstance(x, Fraction):
-        return x < 0 or x * x <= x + 1
+        p, q = x.numerator, x.denominator
+        return p < 0 or p * p <= (p + q) * q
     return x <= PHI
 
 
 def lt_phi(x: Scalar) -> bool:
-    """x < phi, exact for rationals."""
+    """x < phi, exact for rationals (x = phi cannot occur for rational x)."""
     if isinstance(x, Fraction):
-        return x < 0 or x * x < x + 1
+        return le_phi(x)
     return x < PHI
 
 
@@ -54,19 +58,6 @@ def round_r(x: Scalar) -> Scalar:
     if exact:
         return Fraction(x.numerator // x.denominator)
     return float(math.floor(x))
-
-
-def _last_finish(vec, lengths, speeds):
-    """(load, speed) of a machine that finishes last under the assignment
-    vector vec (job i on machine vec[i])."""
-    loads = [0] * len(speeds)
-    for i, j in enumerate(vec):
-        loads[j] += lengths[i]
-    top, top_v = 0, 1
-    for load, v in zip(loads, speeds):
-        if load * top_v > top * v:
-            top, top_v = load, v
-    return top, top_v
 
 
 def _fits(jobs, choices, lengths, twin, loads, caps, vec) -> bool:
@@ -117,96 +108,20 @@ def _fits(jobs, choices, lengths, twin, loads, caps, vec) -> bool:
 
 def brute_force_opt(instance: Instance) -> Schedule:
     """Exact minimum-makespan schedule: among the optimal assignment vectors
-    (job i on machine v[i]), the lexicographically smallest."""
-    vec, _, _ = _search(instance)
-    assignment = [[] for _ in range(instance.m)]
-    for i, j in enumerate(vec):
-        assignment[j].append(i)
-    return build_schedule(instance, assignment)
+    (job i on machine v[i]), the lexicographically smallest.
 
-
-def _search(instance: Instance) -> tuple:
-    """(vec, load, v): the lexicographically smallest optimal assignment
-    vector, job i on machine vec[i], and the optimum load / v as integers.
-
-    One exact depth-first search, used in two passes. Lengths, speeds and
-    batteries are scaled to integers by one common denominator (floats too:
-    a float is a dyadic rational, so float mode is searched exactly, without
-    a tolerance), and a bound on the makespan becomes an integer cap on each
-    machine's load.
-
-    * Value pass: jobs are branched longest first, each over its machines
-      fastest first. A greedy schedule in the same order (earliest finish,
-      the first such machine on ties) seeds the bound. The search then looks
-      for a schedule strictly below the bound, so ties prune as well as
-      losses, and starts again below each one it finds until none is left.
-    * Vector pass: starting from that optimal witness, jobs are fixed in id
-      order. Job i tries only the machines below the witness's machine, in
-      id order, each checked by a longest-first completion search within the
-      optimum. The first that passes, with its completion, becomes the new
-      witness; if none does, job i keeps the witness's machine.
-
-    Identical machines: both passes skip machine j while the last machine
-    before j with the same speed and battery (USP and DWP only) carries the
-    same load. Guarded to m^n <= 10^8 raw assignments.
-    """
-    if not feasibility_check(instance):
-        raise InfeasibleError("instance has no valid schedule")
-    n, m = instance.n, instance.m
-    if m ** n > BRUTE_FORCE_GUARD:
-        raise SizeGuardError(f"m^n = {m}^{n} exceeds the {BRUTE_FORCE_GUARD:g} guard")
-
-    scaled, _ = exact_ints(instance.lengths + instance.speeds + instance.batteries)
-    lengths, speeds, batteries = scaled[:n], scaled[n:n + m], scaled[n + m:]
-    # each job's machines, fastest first (lowest id among equal speeds)
-    by_speed = sorted(range(m), key=speeds.__getitem__, reverse=True)
-    if instance.kind is Kind.RESTRICTED:
-        eligible = [[j for j in by_speed if j in machines] for machines in instance.eligibility]
-    elif instance.kind is Kind.USP:
-        eligible = [by_speed] * n
-    else:
-        eligible = [[j for j in by_speed if batteries[j] is None or l <= batteries[j]]
-                    for l in lengths]
-    # twin[j]: the last machine before j with the same speed and battery, or
-    # j itself if there is none (always for RESTRICTED instances)
-    last_of = {}
-    twin = []
-    for j in range(m):
-        key = j if instance.kind is Kind.RESTRICTED else (speeds[j], batteries[j])
-        twin.append(last_of.get(key, j))
-        last_of[key] = j
-
-    # greedy seed: longest job first, on the machine that finishes it first
-    order = sorted(range(n), key=lengths.__getitem__, reverse=True)
-    loads = [0] * m
-    vec = [0] * n
-    for i in order:
-        l = lengths[i]
-        best = None
-        for j in eligible[i]:
-            if best is None or (loads[j] + l) * speeds[best] < (loads[best] + l) * speeds[j]:
-                best = j
-        loads[best] += l
-        vec[i] = best
-
-    # value pass. (load, v) finishes last; the cap on machine j (speed w) is
-    # the largest integer load that finishes before load / v here, and by it
-    # in the vector pass
-    choices = [eligible[i] for i in order]
-    load, v = _last_finish(vec, lengths, speeds)
-    while True:
-        trial = vec.copy()
-        caps = [(load * w - 1) // v for w in speeds]
-        if not _fits(order, choices, lengths, twin, [0] * m, caps, trial):
-            break
-        vec = trial
-        load, v = _last_finish(vec, lengths, speeds)
-
-    # vector pass: loads holds jobs 0..i-1 on their final machines
-    caps = [load * w // v for w in speeds]
-    loads = [0] * m
-    for i in range(n):
-        l = lengths[i]
+    The value pass finds the optimum and a witness. The vector pass then
+    fixes jobs in id order: job i tries only the machines below the
+    witness's machine, in id order, each checked by a longest-first
+    completion search within the optimum. The first that passes, with its
+    completion, becomes the new witness; if none does, job i keeps the
+    witness's machine."""
+    best, vec, (eligible, twin, order) = optimum_value(instance)
+    exact = instance.exact
+    lengths = exact.lengths
+    caps = [best // s for s in exact.slopes]
+    loads = [0] * instance.m  # jobs 0..i-1 on their final machines
+    for i, l in enumerate(lengths):
         below = [j for j in eligible[i] if j < vec[i] and loads[j] + l <= caps[j]]
         if below:
             below.sort()
@@ -216,7 +131,80 @@ def _search(instance: Instance) -> tuple:
                      lengths, twin, loads, caps, trial):
                 vec = trial
         loads[vec[i]] += l
-    return vec, load, v
+    assignment = [[] for _ in range(instance.m)]
+    for i, j in enumerate(vec):
+        assignment[j].append(i)
+    return build_schedule(instance, assignment)
+
+
+def optimum_value(instance: Instance) -> tuple:
+    """(F, vec, (eligible, twin, order)): the value pass. F is the optimum
+    makespan as a finish value of ``Instance.exact`` (makespan * L * P),
+    vec an optimal witness (job i on machine vec[i]), and the rest the
+    search space the vector pass reuses.
+
+    The search decides on ``Instance.exact`` in both modes (a float is a
+    dyadic rational, so float mode is searched exactly, without a
+    tolerance): machine j's finish value is its integer load times
+    slopes[j]. Jobs are branched longest first, each over its machines
+    fastest first (least slope, then least id). A greedy schedule in the
+    same order (least finish value, the first such machine on ties) seeds
+    the bound F. The search then looks for a schedule strictly below F,
+    capping machine j's load at (F - 1) // slopes[j], so ties prune as well
+    as losses, and starts again below each one it finds until none is left.
+
+    Identical machines: the search skips machine j while the last machine
+    before j with the same slope and battery (USP and DWP only) carries the
+    same load. Guarded to m^n <= 10^8 raw assignments.
+    """
+    if not feasibility_check(instance):
+        raise InfeasibleError("instance has no valid schedule")
+    n, m = instance.n, instance.m
+    if m ** n > BRUTE_FORCE_GUARD:
+        raise SizeGuardError(f"m^n = {m}^{n} exceeds the {BRUTE_FORCE_GUARD:g} guard")
+
+    exact = instance.exact
+    lengths, slopes, batteries = exact.lengths, exact.slopes, exact.batteries
+    by_slope = sorted(range(m), key=slopes.__getitem__)
+    if instance.kind is Kind.RESTRICTED:
+        eligible = [[j for j in by_slope if j in machines] for machines in instance.eligibility]
+    elif instance.kind is Kind.USP:
+        eligible = [by_slope] * n
+    else:
+        eligible = [[j for j in by_slope if batteries[j] is None or l <= batteries[j]]
+                    for l in lengths]
+    # twin[j]: the last machine before j with the same slope and battery, or
+    # j itself if there is none (always for RESTRICTED instances)
+    last_of = {}
+    twin = []
+    for j in range(m):
+        key = j if instance.kind is Kind.RESTRICTED else (slopes[j], batteries[j])
+        twin.append(last_of.get(key, j))
+        last_of[key] = j
+
+    order = sorted(range(n), key=lengths.__getitem__, reverse=True)
+    loads = [0] * m
+    vec = [0] * n
+    for i in order:
+        l = lengths[i]
+        best = None
+        for j in eligible[i]:
+            if best is None or (loads[j] + l) * slopes[j] < (loads[best] + l) * slopes[best]:
+                best = j
+        loads[best] += l
+        vec[i] = best
+
+    choices = [eligible[i] for i in order]
+    while True:
+        best = max(map(mul, loads, slopes))
+        trial = vec.copy()
+        caps = [(best - 1) // s for s in slopes]
+        if not _fits(order, choices, lengths, twin, [0] * m, caps, trial):
+            return best, vec, (eligible, twin, order)
+        vec = trial
+        loads = [0] * m
+        for i, j in enumerate(vec):
+            loads[j] += lengths[i]
 
 
 def makespan_lower_bound(instance: Instance) -> Scalar:
@@ -291,28 +279,31 @@ class RatioReport:
 def ratio_report(instance: Instance, algorithm: str,
                  instance_id: str = "") -> RatioReport:
     """Run a scheduler and compare against brute force (within the size
-    guard) or the makespan lower bound. A rational optimum is the search's
-    integer load over speed; a float one is the optimal schedule's
-    makespan, rounded as ``build_schedule`` rounds it."""
+    guard) or the makespan lower bound. A rational optimum is the value
+    pass's finish value F over L * P, and the ratio the scheduler's finish
+    value over F; a float one is the optimal schedule's makespan, rounded as
+    ``build_schedule`` rounds it."""
     from .scheduler import run_scheduler
 
     trace = run_scheduler(algorithm, instance, record_trace=False)
     alg_span = trace.schedule.makespan
-    if instance.m ** instance.n <= BRUTE_FORCE_GUARD:
-        if isinstance(alg_span, float):
-            opt = brute_force_opt(instance).makespan
-        else:
-            _, load, v = _search(instance)
-            opt = Fraction(load, v)
-        method = "brute-force"
+    method = "brute-force"
+    if instance.m ** instance.n > BRUTE_FORCE_GUARD:
+        opt, method = makespan_lower_bound(instance), "lower-bound"
+        ratio = alg_span / opt
+    elif isinstance(alg_span, float):
+        opt = brute_force_opt(instance).makespan
+        ratio = alg_span / opt
     else:
-        opt = makespan_lower_bound(instance)
-        method = "lower-bound"
+        best, _, _ = optimum_value(instance)
+        scale = instance.exact.L * instance.exact.P
+        opt = Fraction(best, scale)
+        ratio = Fraction(alg_span.numerator * (scale // alg_span.denominator), best)
     return RatioReport(
         instance_id=instance_id,
         algorithm=algorithm,
         alg_makespan=alg_span,
         opt_value=opt,
-        ratio=alg_span / opt,
+        ratio=ratio,
         opt_method=method,
     )

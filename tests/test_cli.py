@@ -278,6 +278,18 @@ def test_verify_dwp_phi_small(tmp_path, capsys, monkeypatch):
     assert payload["bound_float"] == PHI  # the nearest double to phi
 
 
+def test_verify_past_the_guard_is_a_size_guard_error(tmp_path, capsys, monkeypatch):
+    # n up to 30 on 3 drones leaves brute force's reach: a lower bound would
+    # read as a ratio near 2.9 and a witness against the phi theorem
+    monkeypatch.chdir(tmp_path)
+    code = main(["verify", "--family", "uniform-dwp", "--count", "5", "--bound", "phi",
+                 "--max-n", "30", "--max-m", "3"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "size guard" in err and "uniform-dwp-" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 # -- bench ------------------------------------------------------------------------
 
 def test_bench_small(tmp_path, capsys):

@@ -10,7 +10,7 @@ import pytest
 from makespan import (GenSpec, Kind, Mode, UsageError, bench_scaling,
                       feasibility_check, generate, ratio_sweep, validate,
                       write_instance)
-from makespan.gen_bench import DEFAULT_ALGORITHM, FAMILIES, decimal_str
+from makespan.gen_bench import DEFAULT_ALGORITHM, FAMILIES, _hist_bin, decimal_str
 from makespan.cli import parse_instance_text
 
 
@@ -205,6 +205,48 @@ def test_ratio_sweep_two_class_adversarial_record():
                          seed=0, n_max=7, m_max=3)
     assert result.ok  # worst recorded ratio never exceeds the class bound
     assert result.max_instance_text.startswith("USP")
+
+
+def test_verify_exact_sweeps_pinned():
+    """sha256 over ratio_sweep(...).to_json() for the three sweeps perfbench's
+    verify-exact workload rotates through, at one seed: the histogram, the
+    worst ratio and its instance do not depend on how the oracle gets there."""
+    digest = hashlib.sha256()
+    for family, bound, distinct in (("uniform-dwp", "phi", False),
+                                    ("equal-speed", F(4, 3), False),
+                                    ("uniform-usp", F(158, 100), True)):
+        result = ratio_sweep(family, 50, bound=bound, seed=2024,
+                             distinct_speeds=distinct, threads=1)
+        digest.update(json.dumps(result.to_json(), sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "6c55ad4cbf2ade627f5a244a8880c60d2dacfb113d8dffac67a1effa552992ab")
+
+
+def fraction_scan_bin(ratio):
+    """The histogram bin by comparisons against the edges 1.00, 1.05, .., 2.00."""
+    edges = [F(100 + 5 * k, 100) for k in range(21)]
+    for k in range(20):
+        if ratio < edges[k + 1]:
+            return f"[{float(edges[k]):.2f},{float(edges[k + 1]):.2f})"
+    return ">=2.00"
+
+
+def test_hist_bin_matches_the_fraction_scan():
+    tiny = F(1, 10 ** 12)
+    ratios = [F(-3), F(0), F(1, 2), F(99, 100), F(2), F(201, 100), F(7), F(10 ** 30, 3)]
+    for k in range(21):
+        edge = F(100 + 5 * k, 100)
+        ratios += [edge - tiny, edge, edge + tiny]
+    rng = random.Random(3)
+    ratios += [F(rng.randint(1, 3 * 10 ** 6), rng.randint(10 ** 6, 2 * 10 ** 6))
+               for _ in range(2000)]
+    for ratio in ratios:
+        assert _hist_bin(ratio) == fraction_scan_bin(ratio), ratio
+    for x in (0.5, 1.0, 1.05, 1.0499999999999998, 1.15, 1.6, 1.95, 1.9999999999999998,
+              2.0, 3.5):
+        assert _hist_bin(x) == fraction_scan_bin(x), x
+    assert _hist_bin(F(1)) == "[1.00,1.05)" and _hist_bin(F(21, 20)) == "[1.05,1.10)"
+    assert _hist_bin(F(39, 20)) == "[1.95,2.00)" and _hist_bin(F(2)) == ">=2.00"
 
 
 def test_ratio_sweep_parallel_merge_matches_serial(monkeypatch):

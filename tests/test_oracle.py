@@ -1,14 +1,17 @@
 import gc
 import itertools
 import json
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
-from makespan import (GenSpec, InfeasibleError, Instance, Mode, SizeGuardError,
+from makespan import (PHI, GenSpec, InfeasibleError, Instance, Mode, SizeGuardError,
                       UsageError, brute_force_opt, dwp_lpt, generate, le_phi,
                       makespan_lower_bound, ratio_report, round_r)
+from makespan.gen_bench import DEFAULT_ALGORITHM, FAMILIES
+from makespan.oracle import lt_phi
 
 from conftest import dwp, restricted, usp
 
@@ -203,6 +206,39 @@ def test_le_phi_exact_cases():
     assert le_phi(1.6) and not le_phi(1.62)
 
 
+def fibonacci_convergents(count):
+    """The first `count` ratios of consecutive Fibonacci numbers, 2/1, 3/2,
+    5/3, ...: alternately above and below phi."""
+    a, b = 1, 1
+    for _ in range(count):
+        a, b = b, a + b
+        yield F(b, a)
+
+
+def test_phi_predicates_on_integers():
+    for x in (F(-1), F(-5, 3), F(-10 ** 300, 7), F(0), F(1, 10 ** 9), F(1), F(8, 5)):
+        assert le_phi(x) and lt_phi(x)
+    for x in (F(13, 8), F(2), F(10 ** 300)):
+        assert not le_phi(x) and not lt_phi(x)
+    for k, x in enumerate(fibonacci_convergents(60)):
+        below = k % 2 == 1
+        assert le_phi(x) == lt_phi(x) == below == (x * x < x + 1)
+    # a convergent with a 1000-bit numerator, and its neighbours 1/q^2 away
+    *_, x = fibonacci_convergents(1450)
+    assert x.numerator.bit_length() >= 1000
+    for y in (x, x + F(1, x.denominator ** 2), x - F(1, x.denominator ** 2)):
+        assert le_phi(y) == lt_phi(y) == (y * y < y + 1)
+
+
+def test_phi_predicates_on_floats():
+    below = math.nextafter(PHI, 0.0)
+    above = math.nextafter(PHI, 2.0)
+    for x in (-3.0, 0.0, 1.0, 1.6, below, PHI, above, 1.62, 2.0, math.inf):
+        assert le_phi(x) == (x <= PHI)
+        assert lt_phi(x) == (x < PHI)
+    assert le_phi(PHI) and not lt_phi(PHI)
+
+
 def test_round_r_cases():
     assert round_r(F(1)) == 1
     assert round_r(F(16, 10)) == 1          # 1.6 < phi
@@ -290,6 +326,32 @@ def test_opt_with_a_common_denominator_past_float_range():
         assert sched.makespan == span
         assert assignment_vector(sched, inst.n) == vec
         assert ratio_report(inst, algorithm).opt_value == span
+
+
+def test_ratio_report_value_pass_equals_brute_force():
+    """The rational ratio report runs the value pass alone; its optimum is
+    brute force's makespan on every family, tight batteries included."""
+    for family in FAMILIES:
+        for seed in range(25):
+            specs = [GenSpec(family=family, n=1 + seed % 9, m=1 + seed % 3, seed=seed)]
+            if family == "uniform-dwp":  # batteries below most parcels
+                specs.append(GenSpec(family=family, n=1 + seed % 9, m=1 + seed % 3,
+                                     seed=seed, battery_range=(F(1), F(30))))
+            for spec in specs:
+                inst = generate(spec, Mode.RATIONAL)
+                report = ratio_report(inst, DEFAULT_ALGORITHM[family])
+                assert report.opt_method == "brute-force"
+                assert report.opt_value == brute_force_opt(inst).makespan
+                assert report.ratio == report.alg_makespan / report.opt_value
+    q = 10 ** 40 + 3
+    lengths = [F(k, q ** k) for k in range(1, 9)]
+    for inst, algorithm in ((usp([F(1), F(2)], lengths), "lpt-naive"),
+                            (dwp([(F(1), None), (F(2), None)], lengths), "dwp-lpt"),
+                            (dwp([(F(3, 7), F(2, q)), (F(5, 11), F(1, 2 * q))], lengths),
+                             "dwp-lpt")):
+        report = ratio_report(inst, algorithm)
+        assert report.opt_value == brute_force_opt(inst).makespan
+        assert report.ratio == report.alg_makespan / report.opt_value
 
 
 @pytest.mark.parametrize("mode", [Mode.F64, Mode.RATIONAL])
