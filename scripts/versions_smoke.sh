@@ -7,9 +7,9 @@
 # whose greedy seed is already optimal (seed 733), every scheduler and `opt`
 # in rational mode on hand-written instances with huge denominators, and
 # `verify --count 50` on both uniform families, and with `--bound phi` on
-# uniform-dwp and `--bound 4/3` on equal-speed. Every step must exit 0; each
-# step's stdout is kept in OUT_DIR, so two interpreters' runs can be compared
-# byte for byte.
+# uniform-dwp (seeds 50 to 99) and `--bound 4/3` on equal-speed. Every step
+# must exit 0; each step's stdout is kept in OUT_DIR, so two interpreters'
+# runs can be compared byte for byte.
 #
 #   sh scripts/versions_smoke.sh OUT_DIR
 set -eu
@@ -73,7 +73,8 @@ cli dwp733-opt-f64.json schedule --algo opt --input "$out/dwp733.txt" --numeric 
 for family in uniform-usp uniform-dwp; do
     cli "verify-$family.json" verify --family "$family" --count 50
 done
-# the exact phi test and the histogram bins decide on integers
-cli verify-uniform-dwp-phi.json verify --family uniform-dwp --count 50 --bound phi
+# the exact phi test and the histogram bins decide on integers; --bound
+# defaults to phi, so this step checks the next block of 50 seeds
+cli verify-uniform-dwp-phi.json verify --family uniform-dwp --count 50 --bound phi --seed 50
 cli verify-equal-speed-4-3.json verify --family equal-speed --count 50 --bound 4/3
 echo "smoke ok: $(ls "$out" | wc -l) outputs in $out"

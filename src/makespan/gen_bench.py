@@ -18,7 +18,6 @@ import os
 import random
 import statistics
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
@@ -49,7 +48,10 @@ DEFAULT_ALGORITHM = {
 
 @dataclass(frozen=True)
 class GenSpec:
-    """Deterministic recipe for one instance; equal specs generate equal bytes."""
+    """Deterministic recipe for one instance; equal specs generate equal bytes.
+
+    Each range must satisfy 0 < lo <= hi, decided on the ends' integer
+    ratios (``_in_order``), not by comparing Fractions."""
 
     family: str
     n: int = 10
@@ -71,8 +73,20 @@ class GenSpec:
             raise UsageError("grid must be >= 1")
         for name in ("length_range", "speed_range", "battery_range"):
             lo, hi = getattr(self, name)
-            if not (0 < lo <= hi):
+            if not _in_order(lo, hi):
                 raise UsageError(f"{name} must satisfy 0 < lo <= hi, got {lo}..{hi}")
+
+
+def _in_order(lo, hi) -> bool:
+    """0 < lo <= hi, decided on integers: as_integer_ratio() gives p/q with
+    q > 0 alike for an int, a float and a Fraction, and a Fraction compared
+    to a number takes several Python calls. A value without a ratio (nan,
+    inf, not a number) is compared as given."""
+    try:
+        (p, q), (r, s) = lo.as_integer_ratio(), hi.as_integer_ratio()
+    except (AttributeError, OverflowError, ValueError):
+        return 0 < lo <= hi
+    return 0 < p and p * s <= r * q
 
 
 def _grid_points(lo: Fraction, hi: Fraction, grid: int):
@@ -312,6 +326,15 @@ def _sweep_chunk(args) -> SweepResult:
         if _exceeds(ratio, bound) and len(part.violations) < 10:
             part.violations.append((write_instance(instance), scalar_to_str(ratio)))
     return part
+
+
+def ProcessPoolExecutor(max_workers: int):
+    """concurrent.futures' process pool, imported on first use: importing it
+    loads multiprocessing, logging, socket and pickle, which only a sweep
+    with more than one worker needs."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    return ProcessPoolExecutor(max_workers=max_workers)
 
 
 def sweep_threads() -> int:

@@ -164,8 +164,8 @@ def build_schedule(instance: Instance, assignment: Sequence[Sequence[int]]) -> S
     if len(assignment) != instance.m:
         raise UsageError(f"assignment has {len(assignment)} machine slots, expected {instance.m}")
     lengths, n = instance.lengths, instance.n
-    used = [jobs for jobs in assignment if jobs]
-    if used and (min(map(min, used)) < 0 or max(map(max, used)) >= n):
+    ids = [i for jobs in assignment for i in jobs]
+    if ids and (min(ids) < 0 or max(ids) >= n):
         j, i = next((j, i) for j, jobs in enumerate(assignment)
                     for i in jobs if not 0 <= i < n)
         raise UsageError(f"machine {j}: unknown job id {i}")
@@ -178,11 +178,7 @@ def build_schedule(instance: Instance, assignment: Sequence[Sequence[int]]) -> S
         loads = [sum(map(scaled.__getitem__, jobs)) for jobs in assignment]
         makespan = Fraction(max(map(mul, loads, exact.slopes)), L * exact.P)
         loads = [Fraction(load, L) for load in loads]
-    return Schedule(
-        assignment=tuple(map(tuple, assignment)),
-        loads=tuple(loads),
-        makespan=makespan,
-    )
+    return Schedule(tuple(map(tuple, assignment)), tuple(loads), makespan)
 
 
 def _loads(lengths: tuple, assignment) -> list:
@@ -257,10 +253,22 @@ def makespan(instance: Instance, schedule: Schedule) -> Scalar:
     return schedule.makespan
 
 
+def _decided_on(instance: Instance) -> tuple:
+    """(batteries, lengths) that the battery checks compare: a float
+    instance's own floats, or a rational one's integers from
+    ``Instance.exact``. Those order as the Fractions do (one positive scale
+    L), and compare in C rather than in one Python call per comparison."""
+    if isinstance(instance.speeds[0], float):
+        return instance.batteries, instance.lengths
+    exact = instance.exact
+    return exact.batteries, exact.lengths
+
+
 def battery_order(instance: Instance) -> list:
     """Machine ids by non-increasing battery range, unbounded (None) first and
-    ties in ascending id order."""
-    batteries = instance.batteries
+    ties in ascending id order. A rational instance is sorted by its integer
+    batteries from ``Instance.exact``, a float one by its floats."""
+    batteries, _ = _decided_on(instance)
     return sorted(range(instance.m), reverse=True,
                   key=lambda j: math.inf if batteries[j] is None else batteries[j])
 
@@ -269,12 +277,13 @@ def feasibility_check(instance: Instance) -> bool:
     """Linear-time feasibility: some machine can carry the largest job.
 
     Only a DWP instance can be infeasible: it needs an unbounded drone or
-    max battery >= max length. USP has no limits, and ``Instance`` rejects
-    an empty RESTRICTED eligibility set. The oracle asks this up front;
-    ``dwp_lpt`` does not, as its battery sweep raises on the first parcel
-    that no drone can carry.
+    max battery >= max length, compared as the integers of
+    ``Instance.exact`` in rational mode and as the floats in float mode.
+    USP has no limits, and ``Instance`` rejects an empty RESTRICTED
+    eligibility set. The oracle asks this up front; ``dwp_lpt`` does not,
+    as its battery sweep raises on the first parcel that no drone can carry.
     """
     if instance.kind is not Kind.DWP:
         return True
-    batteries = instance.batteries
-    return None in batteries or max(batteries) >= max(instance.lengths)
+    batteries, lengths = _decided_on(instance)
+    return None in batteries or max(batteries) >= max(lengths)

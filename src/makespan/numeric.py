@@ -63,7 +63,7 @@ def exact_ints(values, invert: bool = False) -> tuple:
     pairs = [None if v is None else v.as_integer_ratio() for v in values]
     if invert:
         pairs = [(q, p) for p, q in pairs]
-    den = math.lcm(*(p[1] for p in pairs if p is not None))
+    den = math.lcm(*[p[1] for p in pairs if p is not None])
     return [None if p is None else p[0] * (den // p[1]) for p in pairs], den
 
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
+from . import scheduler
 from .errors import InfeasibleError, SizeGuardError, UsageError
 from .model import (Instance, Kind, Schedule, battery_order, build_schedule,
                     feasibility_check)
@@ -282,10 +283,9 @@ def ratio_report(instance: Instance, algorithm: str,
     guard) or the makespan lower bound. A rational optimum is the value
     pass's finish value F over L * P, and the ratio the scheduler's finish
     value over F; a float one is the optimal schedule's makespan, rounded as
-    ``build_schedule`` rounds it."""
-    from .scheduler import run_scheduler
-
-    trace = run_scheduler(algorithm, instance, record_trace=False)
+    ``build_schedule`` rounds it. The scheduler is looked up in its module
+    at each call, so a patched ``scheduler.run_scheduler`` is the one run."""
+    trace = scheduler.run_scheduler(algorithm, instance, record_trace=False)
     alg_span = trace.schedule.makespan
     method = "brute-force"
     if instance.m ** instance.n > BRUTE_FORCE_GUARD:

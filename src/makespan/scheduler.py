@@ -29,9 +29,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterator, NamedTuple, Optional
+from typing import Iterator, NamedTuple, Optional, Sequence
 
-from .envelope import Line, LowerEnvelope
+from .envelope import LowerEnvelope
 from .errors import InfeasibleError, UsageError
 from .model import Instance, Kind, Schedule, battery_order, build_schedule
 from .numeric import Scalar, scalar_to_str
@@ -191,7 +191,7 @@ def lpt_naive(instance: Instance, record_trace: bool = True) -> LptTrace:
     return _scan_lpt(instance, "lpt-naive", None, record_trace)
 
 
-def _envelope_lpt(instance: Instance, admission_order: list, name: str,
+def _envelope_lpt(instance: Instance, admission_order: Sequence[int], name: str,
                   record_trace: bool) -> LptTrace:
     """Shared core of the fast and drone paths.
 
@@ -213,11 +213,9 @@ def _envelope_lpt(instance: Instance, admission_order: list, name: str,
     if den is not None:  # integer lines: the tournament rounds crossings up
         slopes = list(map(_Slope, slopes))
     zero = lengths[0] - lengths[0]
-    # a machine is idle until admitted, so its line is known up front
-    lines = [Line(slopes[j], zero, j) for j in admission_order]
     assignment = [[] for _ in range(m)]
     order = _job_order(lengths)
-    trace = LptTrace(algorithm=name, job_ids=order if record_trace else [])
+    machine_ids, after = [], []
     env = LowerEnvelope()
     ptr = start = 0
     while start < n:
@@ -228,8 +226,8 @@ def _envelope_lpt(instance: Instance, admission_order: list, name: str,
             if d is not None and d < l:
                 break
             ptr += 1
-        if ptr > first:
-            env.insert(*lines[first:ptr])
+        if ptr > first:  # a machine is idle until admitted: its line is (slope, 0)
+            env.insert(*[(slopes[j], zero, j) for j in admission_order[first:ptr]])
         elif ptr == 0:
             i = order[start]
             raise InfeasibleError(f"no admitted machine can carry job {i} "
@@ -241,17 +239,17 @@ def _envelope_lpt(instance: Instance, admission_order: list, name: str,
                 k += 1
             stop = k  # the first job d covers starts the next run
         jobs = order[start:stop]
-        machines, after = env.raise_each([lengths[i] for i in jobs])
+        machines, values = env.raise_each(list(map(lengths.__getitem__, jobs)))
         if record_trace:
-            trace.machine_ids += machines
-            trace.after += after
+            machine_ids += machines
+            after += values
         for i, j in zip(jobs, machines):
             assignment[j].append(i)
         start = stop
-    trace.after = _finish_times(trace.after, den)
-    trace.counters = dict(env.counters)
-    trace.schedule = build_schedule(instance, assignment)
-    return trace
+    # the envelope ends with the run, so the trace takes its counters as they are
+    return LptTrace(name, order if record_trace else [], machine_ids,
+                    _finish_times(after, den), build_schedule(instance, assignment),
+                    env.counters)
 
 
 def lpt_fast(instance: Instance, record_trace: bool = True) -> LptTrace:
@@ -270,7 +268,7 @@ def lpt_fast(instance: Instance, record_trace: bool = True) -> LptTrace:
     """
     if instance.kind is not Kind.USP:
         raise UsageError("lpt_fast expects a USP instance")
-    return _envelope_lpt(instance, list(range(instance.m)), "lpt-fast", record_trace)
+    return _envelope_lpt(instance, range(instance.m), "lpt-fast", record_trace)
 
 
 def dwp_lpt(instance: Instance, record_trace: bool = True) -> LptTrace:

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 from itertools import product
 
 import pytest
+from hypothesis import given, strategies as st
 
 from makespan import (GenSpec, Kind, Mode, UsageError, bench_scaling,
                       feasibility_check, generate, ratio_sweep, validate,
@@ -123,6 +124,25 @@ def test_bad_ranges_rejected():
     with pytest.raises(UsageError):
         generate(GenSpec(family="uniform-usp", grid=1,
                          length_range=(F(1, 3), F(2, 5))))  # no grid point
+
+
+_range_ends = st.one_of(
+    st.fractions(min_value=-3, max_value=3, max_denominator=6),
+    st.integers(-3, 3),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
+
+
+@given(lo=_range_ends, hi=_range_ends)
+def test_range_checks_decide_as_the_comparison(lo, hi):
+    # GenSpec decides 0 < lo <= hi on integer ratios; every accept and reject
+    # must be the plain comparison's, nan and inf included
+    try:
+        GenSpec(family="uniform-usp", speed_range=(lo, hi))
+        accepted = True
+    except UsageError:
+        accepted = False
+    assert accepted == (0 < lo <= hi)
 
 
 def test_dwp_always_feasible():

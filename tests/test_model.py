@@ -3,10 +3,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from makespan import (Instance, Kind, UsageError, build_schedule, dwp_lpt,
                       feasibility_check, lpt_fast, lpt_naive, makespan, validate)
-from makespan.model import Schedule
+from makespan.model import Schedule, battery_order
 
 from conftest import dwp, restricted, usp
 
@@ -85,6 +86,40 @@ def test_feasibility_examples():
     assert single.m == 1 and single.n == 1
     assert feasibility_check(single)
     assert feasibility_check(restricted([F(1)], [(F(5), {0})]))
+
+
+# few distinct values, so equal batteries at different ids are common
+_values = st.sampled_from([F(1, 2), F(1), F(3, 2), F(7, 3), F(5), F(100, 7)])
+
+
+@st.composite
+def _drones(draw):
+    m, n = draw(st.integers(1, 5)), draw(st.integers(1, 6))
+    lengths = draw(st.lists(_values, min_size=n, max_size=n))
+    batteries = draw(st.lists(st.one_of(st.none(), _values), min_size=m, max_size=m))
+    if draw(st.booleans()):  # a battery equal to the longest parcel
+        batteries[draw(st.integers(0, m - 1))] = max(lengths)
+    speeds = draw(st.lists(_values, min_size=m, max_size=m))
+    return speeds, batteries, lengths
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_drones())
+def test_battery_decisions_match_their_definitions(case):
+    # battery_order and feasibility_check decide a rational instance on the
+    # integers of Instance.exact; they must decide as the definitions do on
+    # the Fractions, and a float instance on its floats, without scaling it
+    speeds, batteries, lengths = case
+    for scalar in (F, float):
+        def cast(values):
+            return [None if v is None else scalar(v) for v in values]
+        inst = dwp(zip(cast(speeds), cast(batteries)), cast(lengths))
+        by_battery = sorted(range(inst.m), reverse=True, key=lambda j: (
+            math.inf if inst.batteries[j] is None else inst.batteries[j]))
+        assert battery_order(inst) == by_battery
+        longest = max(inst.lengths)
+        assert feasibility_check(inst) == any(d is None or d >= longest for d in inst.batteries)
+        assert ("exact" in vars(inst)) == (scalar is F)
 
 
 def test_instance_validation_errors():
