@@ -4,7 +4,7 @@
 # mode, run lpt-naive and lpt-fast in both modes on a few-speed uniform-usp
 # instance (5 speeds, 12 machines on each, so one tournament leaf wins job
 # after job), `schedule --algo opt --numeric f64` on a uniform-dwp instance
-# whose greedy seed is already optimal (seed 733), every scheduler and `opt`
+# whose LPT seed is already optimal (seed 733), every scheduler and `opt`
 # in rational mode on hand-written instances with huge denominators, and
 # `verify --count 50` on both uniform families, and with `--bound phi` on
 # uniform-dwp (seeds 50 to 99) and `--bound 4/3` on equal-speed. Every step

@@ -427,28 +427,24 @@ def bench_scaling(algorithm: str, sizes, repetitions: int,
                   family: str = "uniform-usp", seed: int = 0) -> list:
     """Time a scheduler on float-mode instances of the given (n, m) sizes.
 
-    Per size: one untimed warmup run, then `repetitions` timed runs. Counter
-    values come from the final run and are deterministic for a given instance.
+    One untimed warmup run per size, then ``repetitions`` rounds that each
+    time every size once, so a drift in the host's speed reaches all sizes
+    alike instead of skewing their ratios. Counter values come from the
+    final round and are deterministic for a given instance.
     """
     if repetitions < 1:
         raise UsageError("repetitions must be >= 1")
-    results = []
-    for idx, (n, m) in enumerate(sizes):
-        spec = GenSpec(family=family, n=n, m=m, seed=seed + 7919 * idx)
-        instance = generate(spec, Mode.F64)
+    instances = [generate(GenSpec(family=family, n=n, m=m, seed=seed + 7919 * idx), Mode.F64)
+                 for idx, (n, m) in enumerate(sizes)]
+    for instance in instances:
         run_scheduler(algorithm, instance, record_trace=False)  # warmup
-        times = []
-        trace = None
-        for _ in range(repetitions):
+    times = [[] for _ in instances]
+    counters = [None] * len(instances)
+    for _ in range(repetitions):
+        for k, instance in enumerate(instances):
             t0 = time.perf_counter()
-            trace = run_scheduler(algorithm, instance, record_trace=False)
-            times.append(time.perf_counter() - t0)
-        results.append(BenchResult(
-            algorithm=algorithm,
-            n=n,
-            m=m,
-            repetitions=repetitions,
-            wall_times=times,
-            counters=dict(trace.counters),
-        ))
-    return results
+            counters[k] = run_scheduler(algorithm, instance, record_trace=False).counters
+            times[k].append(time.perf_counter() - t0)
+    return [BenchResult(algorithm=algorithm, n=n, m=m, repetitions=repetitions,
+                        wall_times=t, counters=dict(c))
+            for (n, m), t, c in zip(sizes, times, counters)]

@@ -253,22 +253,43 @@ def makespan(instance: Instance, schedule: Schedule) -> Scalar:
     return schedule.makespan
 
 
-def _decided_on(instance: Instance) -> tuple:
-    """(batteries, lengths) that the battery checks compare: a float
-    instance's own floats, or a rational one's integers from
-    ``Instance.exact``. Those order as the Fractions do (one positive scale
-    L), and compare in C rather than in one Python call per comparison."""
-    if isinstance(instance.speeds[0], float):
-        return instance.batteries, instance.lengths
+def decided_on(instance: Instance) -> tuple:
+    """(lengths, batteries, slopes, den): the numbers a run decides on. A
+    float instance's own floats and slopes 1/v, with den None, or a rational
+    one's integers from ``Instance.exact``, whose finish values are the
+    finish times times den = L * P. Those order as the Fractions do, and
+    compare in C rather than in one Python call per comparison."""
+    speeds = instance.speeds
+    if isinstance(speeds[0], float):
+        return instance.lengths, instance.batteries, [1 / v for v in speeds], None
     exact = instance.exact
-    return exact.batteries, exact.lengths
+    return exact.lengths, exact.batteries, exact.slopes, exact.L * exact.P
+
+
+def job_order(lengths) -> list:
+    """LPT's job order: ids by non-increasing length, ties by ascending id."""
+    return sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)  # stable
+
+
+def candidate_machines(instance: Instance, lengths, batteries, slopes) -> list:
+    """Each job's machines fastest first (least slope, ties by ascending id):
+    for RESTRICTED its eligibility set, in O(|E_i| log |E_i|); for USP all
+    of them, one list for every job; for DWP those whose battery covers it."""
+    if instance.kind is Kind.RESTRICTED:  # sorted() is stable: ids settle ties
+        return [sorted(sorted(machines), key=slopes.__getitem__)
+                for machines in instance.eligibility]
+    by_slope = sorted(range(instance.m), key=slopes.__getitem__)
+    if instance.kind is Kind.USP:
+        return [by_slope] * instance.n
+    return [[j for j in by_slope if batteries[j] is None or l <= batteries[j]]
+            for l in lengths]
 
 
 def battery_order(instance: Instance) -> list:
     """Machine ids by non-increasing battery range, unbounded (None) first and
     ties in ascending id order. A rational instance is sorted by its integer
     batteries from ``Instance.exact``, a float one by its floats."""
-    batteries, _ = _decided_on(instance)
+    _, batteries, _, _ = decided_on(instance)
     return sorted(range(instance.m), reverse=True,
                   key=lambda j: math.inf if batteries[j] is None else batteries[j])
 
@@ -285,5 +306,5 @@ def feasibility_check(instance: Instance) -> bool:
     """
     if instance.kind is not Kind.DWP:
         return True
-    batteries, lengths = _decided_on(instance)
+    lengths, batteries, _, _ = decided_on(instance)
     return None in batteries or max(batteries) >= max(lengths)

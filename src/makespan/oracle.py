@@ -18,13 +18,19 @@ from operator import mul
 from . import scheduler
 from .errors import InfeasibleError, SizeGuardError, UsageError
 from .model import (Instance, Kind, Schedule, battery_order, build_schedule,
-                    feasibility_check)
+                    candidate_machines, feasibility_check, job_order)
 from .numeric import Scalar, scalar_to_str
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
 #: Exhaustive search refuses instances with more than this many assignments.
 BRUTE_FORCE_GUARD = 10 ** 8
+
+
+def exceeds_guard(m: int, n: int) -> bool:
+    """m ** n > BRUTE_FORCE_GUARD, building the power only for n below the
+    guard's bit length b: m >= 2 and n >= b give m ** n >= 2 ** b > guard."""
+    return m > 1 and (n >= BRUTE_FORCE_GUARD.bit_length() or m ** n > BRUTE_FORCE_GUARD)
 
 
 def le_phi(x: Scalar) -> bool:
@@ -147,10 +153,10 @@ def optimum_value(instance: Instance) -> tuple:
     The search decides on ``Instance.exact`` in both modes (a float is a
     dyadic rational, so float mode is searched exactly, without a
     tolerance): machine j's finish value is its integer load times
-    slopes[j]. Jobs are branched longest first, each over its machines
-    fastest first (least slope, then least id). A greedy schedule in the
-    same order (least finish value, the first such machine on ties) seeds
-    the bound F. The search then looks for a schedule strictly below F,
+    slopes[j]. Jobs are branched in LPT's order (``job_order``), each over
+    its machines fastest first (``candidate_machines``). LPT's own schedule,
+    the scan ``scheduler.lpt_scan`` over the same candidates, seeds the
+    bound F. The search then looks for a schedule strictly below F,
     capping machine j's load at (F - 1) // slopes[j], so ties prune as well
     as losses, and starts again below each one it finds until none is left.
 
@@ -161,19 +167,12 @@ def optimum_value(instance: Instance) -> tuple:
     if not feasibility_check(instance):
         raise InfeasibleError("instance has no valid schedule")
     n, m = instance.n, instance.m
-    if m ** n > BRUTE_FORCE_GUARD:
+    if exceeds_guard(m, n):
         raise SizeGuardError(f"m^n = {m}^{n} exceeds the {BRUTE_FORCE_GUARD:g} guard")
 
     exact = instance.exact
     lengths, slopes, batteries = exact.lengths, exact.slopes, exact.batteries
-    by_slope = sorted(range(m), key=slopes.__getitem__)
-    if instance.kind is Kind.RESTRICTED:
-        eligible = [[j for j in by_slope if j in machines] for machines in instance.eligibility]
-    elif instance.kind is Kind.USP:
-        eligible = [by_slope] * n
-    else:
-        eligible = [[j for j in by_slope if batteries[j] is None or l <= batteries[j]]
-                    for l in lengths]
+    eligible = candidate_machines(instance, lengths, batteries, slopes)
     # twin[j]: the last machine before j with the same slope and battery, or
     # j itself if there is none (always for RESTRICTED instances)
     last_of = {}
@@ -183,21 +182,11 @@ def optimum_value(instance: Instance) -> tuple:
         twin.append(last_of.get(key, j))
         last_of[key] = j
 
-    order = sorted(range(n), key=lengths.__getitem__, reverse=True)
-    loads = [0] * m
-    vec = [0] * n
-    for i in order:
-        l = lengths[i]
-        best = None
-        for j in eligible[i]:
-            if best is None or (loads[j] + l) * slopes[j] < (loads[best] + l) * slopes[best]:
-                best = j
-        loads[best] += l
-        vec[i] = best
-
+    order = job_order(lengths)
+    vec, values = scheduler.lpt_scan(lengths, slopes, eligible, order)
+    best = max(values)
     choices = [eligible[i] for i in order]
     while True:
-        best = max(map(mul, loads, slopes))
         trial = vec.copy()
         caps = [(best - 1) // s for s in slopes]
         if not _fits(order, choices, lengths, twin, [0] * m, caps, trial):
@@ -206,6 +195,7 @@ def optimum_value(instance: Instance) -> tuple:
         loads = [0] * m
         for i, j in enumerate(vec):
             loads[j] += lengths[i]
+        best = max(map(mul, loads, slopes))
 
 
 def makespan_lower_bound(instance: Instance) -> Scalar:
@@ -238,7 +228,7 @@ def makespan_lower_bound(instance: Instance) -> Scalar:
     # battery, tracking the fastest admitted speed.
     order = battery_order(instance)
     ptr, fastest = 0, None
-    for i in sorted(range(instance.n), key=lengths.__getitem__, reverse=True):
+    for i in job_order(lengths):
         l = lengths[i]
         while ptr < instance.m:
             j = order[ptr]
@@ -288,7 +278,7 @@ def ratio_report(instance: Instance, algorithm: str,
     trace = scheduler.run_scheduler(algorithm, instance, record_trace=False)
     alg_span = trace.schedule.makespan
     method = "brute-force"
-    if instance.m ** instance.n > BRUTE_FORCE_GUARD:
+    if exceeds_guard(instance.m, instance.n):
         opt, method = makespan_lower_bound(instance), "lower-bound"
         ratio = alg_span / opt
     elif isinstance(alg_span, float):

@@ -5,22 +5,23 @@ job id) to the machine minimizing the resulting finish time, with one shared
 tie rule: least finish value, then greatest speed, then least current finish
 time, then least machine id.
 
-* ``_scan_lpt`` is the O(mn) scan of ``lpt-naive`` (every machine is a
-  candidate) and ``lpt-restricted`` (the job's eligibility set);
+* ``lpt_scan`` is the O(mn) scan of ``lpt-naive`` (every machine is a
+  candidate) and ``lpt-restricted`` (the job's eligibility set); the oracle
+  seeds its search with it too;
 * ``_envelope_lpt`` places each run of jobs between two admissions with
   one ``raise_each`` call (in chunks of at most ``_CHUNK`` jobs) on the
   kinetic tournament of ``envelope.LowerEnvelope``, for ``lpt-fast`` (every
   machine admitted up front: one run of n jobs) and ``dwp-lpt`` (drones
   admitted by a battery pointer sweep: at most m + 1 runs).
 
-Rational mode runs both loops on integers. ``_scaled`` hands them the
-instance's one exact scaling, ``Instance.exact``: lengths and batteries over
-the lcm L of their denominators, and slopes P/v over the lcm P of the speed
-numerators. Every query point, slope and finish value is then an integer, a
-finish value being the finish time times L * P, so the job sort, the battery
-sweep and every LPT comparison compare integers, which decide as the
-Fractions would: the scaling is positive. In the tournament the crossing c
-of two integer lines is rounded up (``_Slope``); at an integer query point
+Rational mode runs both loops on integers. ``model.decided_on`` hands them
+the instance's one exact scaling, ``Instance.exact``: lengths and batteries
+over the lcm L of their denominators, and slopes P/v over the lcm P of the
+speed numerators. Every query point, slope and finish value is then an
+integer, a finish value being the finish time times L * P, so the job sort,
+the battery sweep and every LPT comparison compare integers, which decide as
+the Fractions would: the scaling is positive. In the tournament the crossing
+c of two integer lines is rounded up (``_Slope``); at an integer query point
 X, X < c exactly when X < ceil(c), so it decides exactly too. A trace's
 finish times become Fractions only at the end, F / (L * P).
 """
@@ -33,7 +34,8 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .envelope import LowerEnvelope
 from .errors import InfeasibleError, UsageError
-from .model import Instance, Kind, Schedule, battery_order, build_schedule
+from .model import (Instance, Kind, Schedule, battery_order, build_schedule,
+                    candidate_machines, decided_on, job_order)
 from .numeric import Scalar, scalar_to_str
 
 _CHUNK = 4096  # jobs per raise_each call
@@ -112,72 +114,58 @@ class _Slope(int):
         return -(-other // self)
 
 
-def _scaled(instance: Instance) -> tuple:
-    """(lengths, batteries, slopes, den): what the LPT loops decide on. Float
-    mode takes the values as given and slopes 1/v, with den None; rational
-    mode takes ``Instance.exact``, whose finish values are the finish times
-    times den = L * P."""
-    speeds = instance.speeds
-    if isinstance(speeds[0], float):
-        return instance.lengths, instance.batteries, [1 / v for v in speeds], None
-    exact = instance.exact
-    return exact.lengths, exact.batteries, exact.slopes, exact.L * exact.P
-
-
 def _finish_times(values: list, den) -> list:
     """The finish times of decision values: themselves in float mode."""
     return values if den is None else [Fraction(v, den) for v in values]
 
 
-def _job_order(lengths) -> list:
-    # sorted() is stable, so equal lengths stay in ascending id order
-    return sorted(range(len(lengths)), key=lengths.__getitem__, reverse=True)
+def lpt_scan(lengths, slopes, candidates, order) -> tuple:
+    """(machine, value), both indexed by job id: LPT's O(mn) scan, placing
+    the jobs in ``order``. Job i scans ``candidates[i]`` (fastest first:
+    least slope, ties by ascending id) and takes the first machine with the
+    strictly least finish value T + l * slope, except that at an equal value
+    on an equal slope the lesser T wins; machine[i] is its machine, value[i]
+    its new finish value. That is the envelope's rule (least value, then
+    least slope, then least intercept, then least id), which in float mode
+    also settles two machines of one slope whose rounded values tie; on
+    integers equal values on one slope have equal T, so it changes nothing.
 
-
-def _scan_lpt(instance: Instance, name: str, eligibility, record_trace: bool) -> LptTrace:
-    """The O(mn) scan shared by lpt-naive (``eligibility`` None: every
-    machine is a candidate) and lpt-restricted (the job's eligibility set).
-
-    Job i scans its candidates fastest first (least slope, ties by ascending
-    id) and takes the first one with the strictly least finish value
-    T + l/v, except that at an equal value on an equal slope the lesser T
-    wins. That is the envelope's rule (least value, then least slope, then
-    least intercept, then least id), which in float mode also settles two
-    machines of one slope whose rounded values tie; in rational mode equal
-    values on one slope have equal T, so it changes nothing.
+    lpt-naive and lpt-restricted run it on ``decided_on``'s numbers, the
+    oracle's seed on ``Instance.exact`` in both modes.
     """
-    lengths, _, inv, den = _scaled(instance)
-
-    def by_slope(j):
-        return inv[j], j
-
-    if eligibility is None:
-        candidates = [sorted(range(instance.m), key=by_slope)] * instance.n
-    else:
-        candidates = [sorted(machines, key=by_slope) for machines in eligibility]
-    T = [lengths[0] - lengths[0]] * instance.m
-    assignment = [[] for _ in range(instance.m)]
-    order = _job_order(lengths)
-    trace = LptTrace(algorithm=name, job_ids=order if record_trace else [])
+    T = [lengths[0] - lengths[0]] * len(slopes)
+    machine = [0] * len(lengths)
+    value = machine.copy()
     for i in order:
         l = lengths[i]
-        machines = candidates[i]
-        best = machines[0]
-        bval = T[best] + l * inv[best]
-        for j in machines:
-            val = T[j] + l * inv[j]
+        machines = iter(candidates[i])
+        best = next(machines)
+        bval = T[best] + l * slopes[best]
+        for j in machines:  # the rest of the candidates
+            val = T[j] + l * slopes[j]
             if val <= bval:
-                if val < bval or (inv[j] == inv[best] and T[j] < T[best]):
+                if val < bval or (slopes[j] == slopes[best] and T[j] < T[best]):
                     best, bval = j, val
-        if record_trace:
-            trace.machine_ids.append(best)
-            trace.after.append(bval)
-        T[best] = bval
-        assignment[best].append(i)
-    trace.after = _finish_times(trace.after, den)
-    trace.counters = {"machine_scans": sum(map(len, candidates))}
-    trace.schedule = build_schedule(instance, assignment)
-    return trace
+        T[best] = value[i] = bval
+        machine[i] = best
+    return machine, value
+
+
+def _scan_lpt(instance: Instance, name: str, record_trace: bool) -> LptTrace:
+    """lpt-naive (every machine is a candidate) and lpt-restricted (the
+    job's eligibility set): ``lpt_scan`` on ``decided_on``'s numbers."""
+    lengths, batteries, slopes, den = decided_on(instance)
+    candidates = candidate_machines(instance, lengths, batteries, slopes)
+    order = job_order(lengths)
+    machine, value = lpt_scan(lengths, slopes, candidates, order)
+    assignment = [[] for _ in range(instance.m)]
+    for i in order:
+        assignment[machine[i]].append(i)
+    ids = order if record_trace else []
+    return LptTrace(name, ids, list(map(machine.__getitem__, ids)),
+                    _finish_times(list(map(value.__getitem__, ids)), den),
+                    build_schedule(instance, assignment),
+                    {"machine_scans": sum(map(len, candidates))})
 
 
 def lpt_naive(instance: Instance, record_trace: bool = True) -> LptTrace:
@@ -188,7 +176,7 @@ def lpt_naive(instance: Instance, record_trace: bool = True) -> LptTrace:
     """
     if instance.kind is not Kind.USP:
         raise UsageError("lpt_naive expects a USP instance")
-    return _scan_lpt(instance, "lpt-naive", None, record_trace)
+    return _scan_lpt(instance, "lpt-naive", record_trace)
 
 
 def _envelope_lpt(instance: Instance, admission_order: Sequence[int], name: str,
@@ -209,12 +197,12 @@ def _envelope_lpt(instance: Instance, admission_order: Sequence[int], name: str,
     sweep decides feasibility: it raises if no machine covers the first job.
     """
     m, n = instance.m, instance.n
-    lengths, batteries, slopes, den = _scaled(instance)
+    lengths, batteries, slopes, den = decided_on(instance)
     if den is not None:  # integer lines: the tournament rounds crossings up
         slopes = list(map(_Slope, slopes))
     zero = lengths[0] - lengths[0]
     assignment = [[] for _ in range(m)]
-    order = _job_order(lengths)
+    order = job_order(lengths)
     machine_ids, after = [], []
     env = LowerEnvelope()
     ptr = start = 0
@@ -288,7 +276,7 @@ def lpt_restricted(instance: Instance, record_trace: bool = True) -> LptTrace:
     """LPT over arbitrary per-job eligibility sets (naive scan per job)."""
     if instance.kind is not Kind.RESTRICTED:
         raise UsageError("lpt_restricted expects a RESTRICTED instance")
-    return _scan_lpt(instance, "lpt-restricted", instance.eligibility, record_trace)
+    return _scan_lpt(instance, "lpt-restricted", record_trace)
 
 
 SCHEDULERS = {

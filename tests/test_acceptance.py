@@ -148,10 +148,11 @@ def test_06_restricted_example_values():
 
 def test_07_near_linear_scaling():
     """Float mode: lpt_fast at (1e4,1e3), (1e5,1e4), (1e6,1e5) with median
-    wall-time ratio <= 13 per decade, exact envelope counters (m + n
-    inserts, n deletes, n queries) and node replays per job <= 1.5 *
-    ceil(log2 S) for S distinct slopes; lpt_naive doubles n = m from 1e4
-    to 2e4 with time ratio >= 3 (< 5 min total)."""
+    wall-time ratio <= 13 per decade (three interleaved rounds, each timing
+    every size once, so host drift reaches all sizes alike), exact envelope
+    counters (m + n inserts, n deletes, n queries) and node replays per job
+    <= 1.5 * ceil(log2 S) for S distinct slopes; lpt_naive doubles n = m
+    from 1e4 to 2e4 with time ratio >= 3 (< 5 min total)."""
     t0 = time.perf_counter()
     sizes = [(10_000, 1_000), (100_000, 10_000), (1_000_000, 100_000)]
     fast = bench_scaling("lpt-fast", sizes, repetitions=3, seed=7)

@@ -11,7 +11,7 @@ from makespan import (PHI, GenSpec, InfeasibleError, Instance, Mode, SizeGuardEr
                       UsageError, brute_force_opt, dwp_lpt, generate, le_phi,
                       makespan_lower_bound, ratio_report, round_r)
 from makespan.gen_bench import DEFAULT_ALGORITHM, FAMILIES
-from makespan.oracle import lt_phi
+from makespan.oracle import BRUTE_FORCE_GUARD, exceeds_guard, lt_phi
 
 from conftest import dwp, restricted, usp
 
@@ -101,6 +101,19 @@ def test_brute_force_matches_unpruned_enumeration():
         span, vec = exhaustive_opt(inst)
         assert sched.makespan == span
         assert assignment_vector(sched, n) == vec
+    # RESTRICTED: equal speeds on 9 to 12 machines, so eligibility sets hold
+    # ids of 8 and up, which a frozenset need not iterate in ascending order
+    for case in range(60):
+        m = rng.randint(9, 12)
+        n = rng.randint(1, 7)
+        speeds = [rng.choice([F(1), F(2), F(2)]) for _ in range(m)]
+        jobs = [(F(rng.randint(1, 20), rng.randint(1, 2)),
+                 rng.sample(range(m), rng.randint(1, 3))) for _ in range(n)]
+        inst = restricted(speeds, jobs)
+        sched = brute_force_opt(inst)
+        span, vec = exhaustive_opt(inst)
+        assert sched.makespan == span
+        assert assignment_vector(sched, n) == vec
 
 
 def test_brute_force_float_mode_is_exact():
@@ -153,6 +166,16 @@ def test_brute_force_size_guard():
     inst = usp([F(1)] * 10, [F(1)] * 9)  # 10^9 assignments
     with pytest.raises(SizeGuardError):
         brute_force_opt(inst)
+    # m^n = (10^5)^(10^6) has 5 million digits: refused without building it
+    with pytest.raises(SizeGuardError):
+        brute_force_opt(usp([1.0] * 10 ** 5, [1.0] * 10 ** 6))
+
+
+def test_exceeds_guard_matches_the_power():
+    for m, n in ((1, 1), (1, 30), (2, 26), (2, 27), (10, 8), (10, 9)):
+        assert exceeds_guard(m, n) == (m ** n > BRUTE_FORCE_GUARD), (m, n)
+    assert not exceeds_guard(2, 26) and exceeds_guard(2, 27)
+    assert not exceeds_guard(10, 8) and exceeds_guard(10, 9)
 
 
 def test_brute_force_infeasible():
