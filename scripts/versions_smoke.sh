@@ -3,8 +3,10 @@
 # instance, run `schedule --trace` with every scheduler in f64 and rational
 # mode, run lpt-naive and lpt-fast in both modes on a few-speed uniform-usp
 # instance (5 speeds, 12 machines on each, so one tournament leaf wins job
-# after job), `schedule --algo opt --numeric f64` on a uniform-dwp instance
-# whose LPT seed is already optimal (seed 733), every scheduler and `opt`
+# after job), dwp-lpt in both modes on a uniform-dwp instance whose 60
+# drones enter in 49 batches between LPT steps (seed 2), `schedule --algo
+# opt --numeric f64` on a uniform-dwp instance whose LPT seed is already
+# optimal (seed 733), every scheduler and `opt`
 # in rational mode on hand-written instances with huge denominators, and
 # `verify --count 50` on both uniform families, and with `--bound phi` on
 # uniform-dwp (seeds 50 to 99) and `--bound 4/3` on equal-speed. Every step
@@ -43,6 +45,11 @@ for numeric in f64 rational; do
         cli "deep-$algo-$numeric.json" schedule --algo "$algo" --input "$out/deep.txt" \
             --numeric "$numeric" --trace
     done
+done
+cli drones.txt gen --family uniform-dwp --n 300 --m 60 --seed 2
+for numeric in f64 rational; do
+    cli "drones-dwp-lpt-$numeric.json" schedule --algo dwp-lpt --input "$out/drones.txt" \
+        --numeric "$numeric" --trace
 done
 # hand-written rational instances: speeds p/q with large coprime numerators,
 # lengths with denominators past 10^30, so the exact loops' scaled integers

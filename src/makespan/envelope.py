@@ -5,8 +5,9 @@ Lines are y = slope*x + intercept, one per owner id. query_min(x) returns the
 stored line minimizing its value at x under the canonical tie rule: least
 value, then least slope, then least owner id. raise_each(xs) takes one LPT
 step at each x in turn: it finds that line and sets its intercept to its
-value at x. Both run one loop, so a run of LPT steps pays the call, the
-state loads and the counter updates once.
+value at x, and raise_each(xs, admit) inserts batches of lines between the
+steps. Both run one loop, so a run of LPT steps pays the call, the state
+loads and the counter updates once.
 
 The structure is a kinetic tournament (Basch, Guibas & Hershberger, "Data
 structures for mobile data", J. Algorithms 31, 1999) over per-slope buckets:
@@ -167,7 +168,7 @@ class LowerEnvelope:
         owners, values = self._steps((x,), False)
         return owners[0], values[0]
 
-    def raise_each(self, xs):
+    def raise_each(self, xs, admit=()):
         """One LPT step at each x >= 0 of the sequence xs in turn: find the
         minimal line at x as query_min does and set its intercept to its
         value there. Returns the lists (owners, values).
@@ -175,9 +176,13 @@ class LowerEnvelope:
         Each step leaves the envelope, counters included, as query_min(x),
         delete(owner) and insert(Line(slope, value, owner)) would: it counts
         one query, one delete and one insert, and leaves the raised leaf
-        pending.
+        pending. ``admit`` holds (k, lines) pairs, k ascending with
+        0 <= k < len(xs): each batch of lines goes through ``insert`` just
+        before step k, so the call leaves the envelope as separate ``insert``
+        and ``raise_each`` calls would. Admissions out of order or past the
+        last step are rejected before any step runs.
         """
-        return self._steps(xs, True)
+        return self._steps(xs, True, admit)
 
     def breakpoints(self):
         """Envelope pieces as (start_x, owner); the first start is None (-inf)."""
@@ -197,106 +202,114 @@ class LowerEnvelope:
 
     # -- tournament ------------------------------------------------------------
 
-    def _steps(self, xs, lift):
+    def _steps(self, xs, lift, admit=()):
         """Query at each x of the sequence xs in turn and, with lift, raise
         each winner to its value there; returns the lists (owners, values).
         The counts and the state but the horizon live in locals and are
-        stored back once, also when a bad x stops the run. A raise refreshes
+        stored back once, also when a bad x stops the run, and around each
+        batch of ``admit`` that enters between two steps. A raise refreshes
         its leaf's node at once, so no step of the run refreshes it."""
-        where, heaps, nodes, cap = self._where, self._heaps, self._nodes, self._cap
-        if xs and not where:
-            raise UsageError("query on an empty envelope")
+        runs = _runs(xs, admit) if admit else ((None, xs),)
+        where, heaps = self._where, self._heaps
         leaf, rival, streak, at = self._dirty, self._rival, self._streak, self._x
-        if leaf is not None:
-            self._refresh(leaf)  # its bucket may have changed since the last step
         owners, values = [], []
         replays = comparisons = 0
         try:
-            for x in xs:
-                if not x >= 0:  # also rejects nan
-                    raise UsageError(f"query point must be >= 0, got {scalar_to_str(x)}")
-                if x >= self._horizon:  # a steeper winner may have lost: replay all
-                    self._rebuild(x)
-                    leaf = rival = None
-                if leaf is None:
-                    at, streak = x, 0
-                    if nodes[1][0] > x:
-                        self._x = x
-                        self._repair(1)
-                    best = nodes[1][1]
-                else:
-                    k = cap + leaf
-                    best = nodes[k][1]
-                    if rival is not None and rival[0] != leaf:
-                        rival = None  # another leaf's rival: this leaf's change voids it
-                    # LPT often picks the same slope again: if the leaf's
-                    # new minimum beats its rival, no path is replayed.
-                    hit = rival is not None and best is not None and rival[2] <= x
-                    if hit and rival[1] is not None:
-                        comparisons += 1
-                        hit = _decide(best, rival[1], x, _NEG_INF, _POS_INF)[0] is best
-                    if not hit:
-                        # Replay the pending path at x from the leaf up, carrying
-                        # the winner a (no two leaves share a slope, so which
-                        # child is which changes no result). A sibling holds at
-                        # the old point; if its lo exceeds x, it is repaired.
-                        at = self._x = x
-                        depth = k.bit_length() - 1  # the path's comparisons, less empty sides
-                        replays, comparisons = replays + depth, comparisons + depth
-                        a, lo, hi = best, _NEG_INF, _POS_INF
-                        if a is not None:
-                            icept, slope = a[0], a[2]
-                        while k > 1:
-                            slo, b = nodes[k ^ 1]
-                            if slo > lo:
-                                if slo > x:
-                                    self._repair(k ^ 1)
-                                    continue
-                                lo = slo
-                            k >>= 1
-                            if a is None or b is None:  # nothing to compare
-                                comparisons -= 1
-                                if b is not None:
-                                    a, icept, slope = b, b[0], b[2]
-                            else:  # _decide, inline: calling it made LPT runs 1.2x slower
-                                bslope = b[2]
-                                cross = (b[0] - icept) / (slope - bslope)
-                                if x < cross:  # the steeper line wins below cross
-                                    if cross < hi:
-                                        hi = cross
-                                    if bslope > slope:
-                                        a, icept, slope = b, b[0], bslope
-                                else:  # the flatter line wins from cross on
-                                    if cross > lo:
-                                        lo = cross
-                                    if bslope < slope:
-                                        a, icept, slope = b, b[0], bslope
-                            nodes[k] = (lo, a)
-                        if hi < self._horizon:
-                            self._horizon = hi
-                        if a[3] != leaf:
-                            streak = 0
-                        else:
-                            # Wait for a third win in a row: short runs would
-                            # not repay the cost of finding the rival.
-                            streak += 1
-                            if streak >= 2:
-                                rival = self._find_rival(leaf, x)
-                        leaf, best = None, a
-                icept, owner, slope, won = best
-                value = slope * x + icept
-                if lift:
-                    entry = where[owner] = (value, owner, slope, won)
-                    heap = heaps[won]
-                    heapreplace(heap, entry)  # the live winner is its heap's top
-                    top = heap[0]
-                    while where.get(top[1]) is not top:  # drop deleted lines
-                        heappop(heap)
+            for lines, run in runs:
+                if lines is not None:  # a batch enters between two steps
+                    self._dirty, self._rival, self._streak, self._x = leaf, rival, streak, at
+                    self.insert(*lines)
+                    leaf, rival, streak, at = self._dirty, self._rival, self._streak, self._x
+                if run and not where:
+                    raise UsageError("query on an empty envelope")
+                nodes, cap = self._nodes, self._cap  # a batch may have grown the row
+                if leaf is not None:
+                    self._refresh(leaf)  # its bucket may have changed since the last step
+                for x in run:
+                    if not x >= 0:  # also rejects nan
+                        raise UsageError(f"query point must be >= 0, got {scalar_to_str(x)}")
+                    if x >= self._horizon:  # a steeper winner may have lost: replay all
+                        self._rebuild(x)
+                        leaf = rival = None
+                    if leaf is None:
+                        at, streak = x, 0
+                        if nodes[1][0] > x:
+                            self._x = x
+                            self._repair(1)
+                        best = nodes[1][1]
+                    else:
+                        k = cap + leaf
+                        best = nodes[k][1]
+                        if rival is not None and rival[0] != leaf:
+                            rival = None  # another leaf's rival: this leaf's change voids it
+                        # LPT often picks the same slope again: if the leaf's
+                        # new minimum beats its rival, no path is replayed.
+                        hit = rival is not None and best is not None and rival[2] <= x
+                        if hit and rival[1] is not None:
+                            comparisons += 1
+                            hit = _decide(best, rival[1], x, _NEG_INF, _POS_INF)[0] is best
+                        if not hit:
+                            # Replay the pending path at x from the leaf up, carrying
+                            # the winner a (no two leaves share a slope, so which
+                            # child is which changes no result). A sibling holds at
+                            # the old point; if its lo exceeds x, it is repaired.
+                            at = self._x = x
+                            depth = k.bit_length() - 1  # the path's comparisons, less empty sides
+                            replays, comparisons = replays + depth, comparisons + depth
+                            a, lo, hi = best, _NEG_INF, _POS_INF
+                            if a is not None:
+                                icept, slope = a[0], a[2]
+                            while k > 1:
+                                slo, b = nodes[k ^ 1]
+                                if slo > lo:
+                                    if slo > x:
+                                        self._repair(k ^ 1)
+                                        continue
+                                    lo = slo
+                                k >>= 1
+                                if a is None or b is None:  # nothing to compare
+                                    comparisons -= 1
+                                    if b is not None:
+                                        a, icept, slope = b, b[0], b[2]
+                                else:  # _decide, inline: calling it made LPT runs 1.2x slower
+                                    bslope = b[2]
+                                    cross = (b[0] - icept) / (slope - bslope)
+                                    if x < cross:  # the steeper line wins below cross
+                                        if cross < hi:
+                                            hi = cross
+                                        if bslope > slope:
+                                            a, icept, slope = b, b[0], bslope
+                                    else:  # the flatter line wins from cross on
+                                        if cross > lo:
+                                            lo = cross
+                                        if bslope < slope:
+                                            a, icept, slope = b, b[0], bslope
+                                nodes[k] = (lo, a)
+                            if hi < self._horizon:
+                                self._horizon = hi
+                            if a[3] != leaf:
+                                streak = 0
+                            else:
+                                # Wait for a third win in a row: short runs would
+                                # not repay the cost of finding the rival.
+                                streak += 1
+                                if streak >= 2:
+                                    rival = self._find_rival(leaf, x)
+                            leaf, best = None, a
+                    icept, owner, slope, won = best
+                    value = slope * x + icept
+                    if lift:
+                        entry = where[owner] = (value, owner, slope, won)
+                        heap = heaps[won]
+                        heapreplace(heap, entry)  # the live winner is its heap's top
                         top = heap[0]
-                    nodes[cap + won] = (_NEG_INF, top)
-                    leaf = won
-                owners.append(owner)
-                values.append(value)
+                        while where.get(top[1]) is not top:  # drop deleted lines
+                            heappop(heap)
+                            top = heap[0]
+                        nodes[cap + won] = (_NEG_INF, top)
+                        leaf = won
+                    owners.append(owner)
+                    values.append(value)
         finally:
             self._dirty, self._rival, self._streak, self._x = leaf, rival, streak, at
             counters = self.counters
@@ -484,6 +497,20 @@ def _decide(a, b, x, lo, hi):
     if x < cross:
         return a if a[2] > b[2] else b, lo, cross if cross < hi else hi
     return b if a[2] > b[2] else a, cross if cross > lo else lo, hi
+
+
+def _runs(xs, admit) -> list:
+    """xs cut before each admission: (lines or None, the x's up to the next
+    admission) pairs, the first with None. Checks every step index first."""
+    runs, lines, start = [], None, 0
+    for k, batch in admit:
+        if not start <= k < len(xs):
+            raise UsageError(f"admission at step {k} is out of order or past "
+                             f"the last of {len(xs)} steps")
+        runs.append((lines, xs[start:k]))
+        lines, start = batch, k
+    runs.append((lines, xs[start:]))
+    return runs
 
 
 def _common_ancestor(a: int, b: int) -> int:

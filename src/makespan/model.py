@@ -294,6 +294,30 @@ def battery_order(instance: Instance) -> list:
                   key=lambda j: math.inf if batteries[j] is None else batteries[j])
 
 
+def admissions(lengths, batteries, order, queue) -> list:
+    """LPT's admission schedule: (k, machines) pairs, k ascending. The
+    machines of ``queue`` enter in that order, each at the first job of the
+    LPT ``order`` that its battery covers (None covers every job), and none
+    before the machines ahead of it; ``machines`` lists those that enter
+    just before job order[k]. A machine that covers no job never enters."""
+    schedule, k, n = [], 0, len(order)
+    batch = None
+    for j in queue:
+        d = batteries[j]
+        if d is not None and lengths[order[k]] > d:
+            k += 1
+            while k < n and lengths[order[k]] > d:
+                k += 1
+            if k == n:
+                break
+            batch = None
+        if batch is None:
+            batch = []
+            schedule.append((k, batch))
+        batch.append(j)
+    return schedule
+
+
 def feasibility_check(instance: Instance) -> bool:
     """Linear-time feasibility: some machine can carry the largest job.
 

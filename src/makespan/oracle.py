@@ -17,8 +17,9 @@ from operator import mul
 
 from . import scheduler
 from .errors import InfeasibleError, SizeGuardError, UsageError
-from .model import (Instance, Kind, Schedule, battery_order, build_schedule,
-                    candidate_machines, feasibility_check, job_order)
+from .model import (Instance, Kind, Schedule, admissions, battery_order,
+                    build_schedule, candidate_machines, decided_on,
+                    feasibility_check, job_order)
 from .numeric import Scalar, scalar_to_str
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
@@ -202,8 +203,8 @@ def makespan_lower_bound(instance: Instance) -> Scalar:
     """max(total-work bound, per-job bound); never exceeds the true optimum.
 
     Total work: sum(l) / sum(v). Per job: l_i over the fastest machine
-    eligible for job i (for drones, a battery-descending sweep keeps this
-    near-linear instead of O(nm)).
+    eligible for job i (for drones, dwp-lpt's admission schedule
+    ``model.admissions`` keeps this near-linear instead of O(nm)).
     """
     if not feasibility_check(instance):
         raise InfeasibleError("instance has no valid schedule")
@@ -224,21 +225,16 @@ def makespan_lower_bound(instance: Instance) -> Scalar:
                 bound = per_job
         return bound
 
-    # DWP: sweep jobs by descending length against drones by descending
-    # battery, tracking the fastest admitted speed.
-    order = battery_order(instance)
-    ptr, fastest = 0, None
-    for i in job_order(lengths):
-        l = lengths[i]
-        while ptr < instance.m:
-            j = order[ptr]
-            d = instance.batteries[j]
-            if d is not None and d < l:
-                break
-            if fastest is None or speeds[j] > fastest:
-                fastest = speeds[j]
-            ptr += 1
-        per_job = l / fastest
+    # DWP: dwp-lpt's admission schedule; until the next batch enters, the
+    # fastest admitted speed is fixed, so the batch's first job bounds most.
+    scaled, batteries, _, _ = decided_on(instance)
+    order = job_order(scaled)
+    fastest = None
+    for k, drones in admissions(scaled, batteries, order, battery_order(instance)):
+        v = max(map(speeds.__getitem__, drones))
+        if fastest is None or v > fastest:
+            fastest = v
+        per_job = lengths[order[k]] / fastest
         if per_job > bound:
             bound = per_job
     return bound

@@ -8,11 +8,11 @@ time, then least machine id.
 * ``lpt_scan`` is the O(mn) scan of ``lpt-naive`` (every machine is a
   candidate) and ``lpt-restricted`` (the job's eligibility set); the oracle
   seeds its search with it too;
-* ``_envelope_lpt`` places each run of jobs between two admissions with
-  one ``raise_each`` call (in chunks of at most ``_CHUNK`` jobs) on the
-  kinetic tournament of ``envelope.LowerEnvelope``, for ``lpt-fast`` (every
-  machine admitted up front: one run of n jobs) and ``dwp-lpt`` (drones
-  admitted by a battery pointer sweep: at most m + 1 runs).
+* ``_envelope_lpt`` places the jobs with one ``raise_each`` call per chunk
+  of at most ``_CHUNK`` jobs on the kinetic tournament of
+  ``envelope.LowerEnvelope``, for ``lpt-fast`` (every machine admitted up
+  front) and ``dwp-lpt`` (drones admitted in battery order, each batch
+  between two steps of a call).
 
 Rational mode runs both loops on integers. ``model.decided_on`` hands them
 the instance's one exact scaling, ``Instance.exact``: lengths and batteries
@@ -34,8 +34,8 @@ from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .envelope import LowerEnvelope
 from .errors import InfeasibleError, UsageError
-from .model import (Instance, Kind, Schedule, battery_order, build_schedule,
-                    candidate_machines, decided_on, job_order)
+from .model import (Instance, Kind, Schedule, admissions, battery_order,
+                    build_schedule, candidate_machines, decided_on, job_order)
 from .numeric import Scalar, scalar_to_str
 
 _CHUNK = 4096  # jobs per raise_each call
@@ -184,56 +184,49 @@ def _envelope_lpt(instance: Instance, admission_order: Sequence[int], name: str,
     """Shared core of the fast and drone paths.
 
     Machines enter the envelope in ``admission_order`` as soon as their
-    battery covers the current job; since jobs shrink monotonically, the
-    admission pointer only advances, and the machines it passes for one job
-    enter as one ``insert`` batch. The jobs up to the next admission form a
-    run (one run of n jobs for lpt-fast, at most m + 1 runs for dwp-lpt),
-    placed by one ``LowerEnvelope.raise_each`` call per chunk of at most
-    ``_CHUNK`` of its jobs, so without a trace no list of n values is built.
-    Each step picks the job's machine and raises its line to the new finish
+    battery covers the current job: the schedule ``model.admissions`` is
+    computed once, and the machines that enter before one job form one
+    ``insert`` batch. The first batch enters before the first job; the jobs
+    are placed by one ``LowerEnvelope.raise_each`` call per chunk of at most
+    ``_CHUNK`` jobs, so without a trace no list of n values is built, and
+    each later batch enters between two steps of its chunk's call. Each
+    step picks the job's machine and raises its line to the new finish
     time; query points only shrink, so it replays one leaf-to-root path at
     the job's length plus the nodes beside it that shrinking invalidated.
     A trace keeps the machines and finish times ``raise_each`` returns. The
-    sweep decides feasibility: it raises if no machine covers the first job.
+    schedule decides feasibility: it raises if no machine covers the first
+    job.
     """
-    m, n = instance.m, instance.n
     lengths, batteries, slopes, den = decided_on(instance)
     if den is not None:  # integer lines: the tournament rounds crossings up
         slopes = list(map(_Slope, slopes))
     zero = lengths[0] - lengths[0]
-    assignment = [[] for _ in range(m)]
     order = job_order(lengths)
-    machine_ids, after = [], []
+    schedule = admissions(lengths, batteries, order, admission_order)
+    if not schedule or schedule[0][0]:
+        i = order[0]
+        raise InfeasibleError(f"no admitted machine can carry job {i} "
+                              f"(length {scalar_to_str(instance.lengths[i])})")
     env = LowerEnvelope()
-    ptr = start = 0
-    while start < n:
-        l = lengths[order[start]]
-        first = ptr
-        while ptr < m:
-            d = batteries[admission_order[ptr]]
-            if d is not None and d < l:
-                break
-            ptr += 1
-        if ptr > first:  # a machine is idle until admitted: its line is (slope, 0)
-            env.insert(*[(slopes[j], zero, j) for j in admission_order[first:ptr]])
-        elif ptr == 0:
-            i = order[start]
-            raise InfeasibleError(f"no admitted machine can carry job {i} "
-                                  f"(length {scalar_to_str(instance.lengths[i])})")
-        stop = min(n, start + _CHUNK)
-        if ptr < m:  # the next machine's battery d fell short of this job
-            k = start + 1
-            while k < stop and lengths[order[k]] > d:
-                k += 1
-            stop = k  # the first job d covers starts the next run
+    # a machine is idle until admitted: its line is (slope, 0)
+    env.insert(*[(slopes[j], zero, j) for j in schedule[0][1]])
+    assignment = [[] for _ in range(instance.m)]
+    machine_ids, after = [], []
+    b = 1  # the next batch of the schedule
+    for start in range(0, instance.n, _CHUNK):
+        stop = start + _CHUNK
+        admit = []  # the chunk's batches, by step within the chunk
+        while b < len(schedule) and schedule[b][0] < stop:
+            k, machines = schedule[b]
+            admit.append((k - start, [(slopes[j], zero, j) for j in machines]))
+            b += 1
         jobs = order[start:stop]
-        machines, values = env.raise_each(list(map(lengths.__getitem__, jobs)))
+        machines, values = env.raise_each(list(map(lengths.__getitem__, jobs)), admit)
         if record_trace:
             machine_ids += machines
             after += values
         for i, j in zip(jobs, machines):
             assignment[j].append(i)
-        start = stop
     # the envelope ends with the run, so the trace takes its counters as they are
     return LptTrace(name, order if record_trace else [], machine_ids,
                     _finish_times(after, den), build_schedule(instance, assignment),
@@ -245,9 +238,9 @@ def lpt_fast(instance: Instance, record_trace: bool = True) -> LptTrace:
 
     One line per machine, h_j(x) = x/v_j + T_j, all admitted in one batch
     before the first job, so the tournament's leaves lie in slope order and
-    each subtree covers one contiguous speed range; all n jobs are one run,
-    placed by ``LowerEnvelope.raise_each`` in chunks of at most ``_CHUNK``
-    jobs, one LPT step each. The counters report the tournament's
+    each subtree covers one contiguous speed range; the n jobs are placed by
+    ``LowerEnvelope.raise_each`` in chunks of at most ``_CHUNK`` jobs, one
+    LPT step each. The counters report the tournament's
     node replays: tests/test_envelope.py holds them under 1.1x ceil(log2 S)
     per job for S distinct speeds and m = 100 to 4000, with distinct or
     shared speeds (measured 0.97 to 1.02x with distinct speeds, about one
@@ -262,10 +255,13 @@ def lpt_fast(instance: Instance, record_trace: bool = True) -> LptTrace:
 def dwp_lpt(instance: Instance, record_trace: bool = True) -> LptTrace:
     """Battery-constrained LPT for drone instances.
 
-    Drones sorted by non-increasing battery are admitted by a pointer sweep
-    (ties admitted together, ascending id); every produced schedule respects
-    all battery limits by construction. The sweep, not a pre-pass, raises
-    InfeasibleError if no drone can carry the longest parcel.
+    Drones sorted by non-increasing battery (ties in ascending id) enter
+    the envelope in batches, each just before the first parcel their
+    batteries cover, so every produced schedule respects all battery limits
+    by construction. The batches enter between the steps of one
+    ``raise_each`` call per chunk of ``_CHUNK`` parcels, as in lpt-fast.
+    The admission schedule, not a pre-pass, raises InfeasibleError if no
+    drone can carry the longest parcel.
     """
     if instance.kind is not Kind.DWP:
         raise UsageError("dwp_lpt expects a DWP instance")

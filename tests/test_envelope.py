@@ -292,11 +292,14 @@ def test_lpt_distinct_speeds_one_path_replay_per_job(m):
 @pytest.mark.parametrize("scheduler, family, options", [
     (dwp_lpt, "uniform-dwp", DISTINCT),
     (lpt_fast, "uniform-usp", {}),  # speeds 1..4 on a 1/100 grid: 301 shared slopes
-], ids=["dwp-distinct", "usp-shared"])
+    (dwp_lpt, "uniform-dwp", {}),  # the same slopes, drones admitted in stages
+], ids=["dwp-distinct", "usp-shared", "dwp-shared"])
 def test_lpt_replays_within_depth(scheduler, family, options, m):
     # At most one path replay per step, plus rare off-path repairs:
-    # measured 0.77-0.86 per level (dwp-distinct) and 0.28-0.95 (usp-shared,
-    # where the rival check skips most replays once buckets fill).
+    # measured 0.77-0.86 per level (dwp-distinct), 0.28-0.95 (usp-shared,
+    # where the rival check skips most replays once buckets fill) and
+    # 0.77-0.92 (dwp-shared, rising with m: the rival check seldom answers
+    # while newly admitted drones take turns with loaded ones).
     spec = GenSpec(family=family, n=10 * m, m=m, seed=m, **options)
     assert replays_per_level(scheduler, spec) <= 1.1
 
@@ -540,6 +543,86 @@ def test_raise_each_stops_at_a_bad_point_after_the_steps_before_it():
     assert LowerEnvelope().raise_each([]) == ([], [])
     with pytest.raises(UsageError):
         LowerEnvelope().raise_each([F(1)])
+
+
+def admitting_run(num, seed):
+    """Ten lines on three slopes, 300 falling points and six admissions,
+    run as separate insert and one-point raise_each calls: returns (start
+    lines, points, admit, the envelope after the calls). The batches come
+    before the first step, into the pending leaf's bucket, and with a new
+    slope each, which grows the row mid-run."""
+    rng = random.Random(seed)
+    slopes = [1 / num(s) for s in rng.sample(range(1, 50), 9)]
+    start = [Line(slopes[j % 3], num(0), j) for j in range(10)]
+    xs = [num(3000 - 10 * k) / 7 for k in range(300)]
+    at = [0] + sorted(rng.sample(range(1, 300), 6))
+    env, known, owner, admit = LowerEnvelope(), 3, 10, []
+    env.insert(*start)
+    for k, x in enumerate(xs):
+        if k in at:
+            if k == at[3]:  # into the pending leaf's bucket
+                first = next(line.slope for line in env.lines() if line.owner == won)
+                assert env._leaf_of[first] == env._dirty
+            elif k == 0:  # before the first step
+                first = slopes[0]
+            else:  # a new slope
+                first, known = slopes[known], known + 1
+            lines = [Line(first, num(rng.randrange(-5, 40)), owner)]
+            lines += [Line(rng.choice(slopes[:known]), num(rng.randrange(-5, 40)), owner + i)
+                      for i in range(1, rng.randint(1, 4))]
+            owner += len(lines)
+            admit.append((k, lines))
+            env.insert(*lines)
+        won, _ = raise_one(env, x)
+    return start, xs, admit, env
+
+
+@pytest.mark.parametrize("mode", ["f64", "rational"])
+@pytest.mark.parametrize("seed", range(4))
+def test_raise_each_admissions_match_separate_calls(mode, seed):
+    # One raise_each(xs, admit) call must leave the answers, counters, lines
+    # and tournament state that separate insert and raise_each calls with
+    # the same batches leave.
+    num = float if mode == "f64" else F
+    start, xs, admit, steps = admitting_run(num, seed)
+    run = LowerEnvelope()
+    run.insert(*start)
+    owners, values = run.raise_each(xs, admit)
+    again = LowerEnvelope()
+    again.insert(*start)
+    for (k, lines), (end, _) in zip(admit, admit[1:] + [(len(xs), None)]):
+        again.insert(*lines)
+        assert list(zip(*again.raise_each(xs[k:end]))) == list(zip(owners, values))[k:end]
+    assert run.counters == steps.counters == again.counters
+    assert sorted(run.lines()) == sorted(steps.lines())
+    state = [(e._cap, e._dirty, e._x, e._horizon, e._streak) for e in (run, steps, again)]
+    assert state[0] == state[1] == state[2]
+    assert run._cap == 12  # two batches grew the row mid-run
+    if mode == "rational":  # the check compares by value: exact only here
+        run.check_invariants()
+        steps.check_invariants()
+
+
+def test_raise_each_admits_into_an_empty_envelope():
+    run, steps = LowerEnvelope(), LowerEnvelope()
+    lines = [Line(F(1), F(0), 0), Line(F(1, 2), F(0), 1)]
+    assert run.raise_each([F(4), F(3)], [(0, lines)]) == ([1, 0], [F(2), F(3)])
+    steps.insert(*lines)
+    steps.raise_each([F(4), F(3)])
+    assert run.counters == steps.counters
+
+
+@pytest.mark.parametrize("admit", [
+    [(3, [Line(F(1), F(0), 9)]), (2, [Line(F(2), F(0), 8)])],  # out of order
+    [(4, [Line(F(1), F(0), 9)])],  # past the last step
+    [(-1, [Line(F(1), F(0), 9)])],
+], ids=["out-of-order", "past-the-end", "negative"])
+def test_raise_each_rejects_bad_admissions_before_any_step(admit):
+    run, untouched = four_line_envelope(), four_line_envelope()
+    with pytest.raises(UsageError):
+        run.raise_each([F(5), F(4), F(3), F(2)], admit)
+    assert run.counters == untouched.counters
+    assert sorted(run.lines()) == sorted(untouched.lines())
 
 
 def test_integer_slope_divides_rounding_up():

@@ -1,13 +1,14 @@
 import hashlib
 import json
 import random
+from bisect import bisect_right
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from makespan import (GenSpec, InfeasibleError, Instance, Kind, Mode, UsageError,
-                      brute_force_opt, dwp_lpt, generate, lpt_fast, lpt_naive,
+from makespan import (GenSpec, InfeasibleError, Instance, Kind, LowerEnvelope, Mode,
+                      UsageError, brute_force_opt, dwp_lpt, generate, lpt_fast, lpt_naive,
                       lpt_restricted, run_scheduler, validate)
 from makespan.cli import parse_instance_text
 from makespan.numeric import scalar_to_str
@@ -243,6 +244,30 @@ def test_dwp_admission_is_monotone():
     # inserts = admitted drones + one reinsert per parcel
     assert trace.counters["inserts"] == 4 + 5
     assert validate(inst, trace.schedule).ok
+
+
+@pytest.mark.parametrize("scheduler, family", [(dwp_lpt, "uniform-dwp"),
+                                                (lpt_fast, "uniform-usp")])
+def test_envelope_lpt_makes_one_raise_each_call_per_chunk(monkeypatch, scheduler, family):
+    # dwp-lpt's drones enter between the steps of lpt-fast's calls, one per
+    # chunk of 4096 jobs: one insert per admission batch, no call per batch
+    calls = {"insert": [], "raise_each": []}
+    for name, sizes in calls.items():
+        def spy(self, *args, method=getattr(LowerEnvelope, name), sizes=sizes,
+                steps=name == "raise_each"):
+            sizes.append(len(args[0]) if steps else len(args))  # steps or lines
+            return method(self, *args)
+        monkeypatch.setattr(LowerEnvelope, name, spy)
+    inst = generate(GenSpec(family=family, n=10_000, m=1_000, seed=3), Mode.F64)
+    scheduler(inst, record_trace=False)
+    assert calls["raise_each"] == [4096, 4096, 1808]
+    # a drone enters before the first job its battery covers, with the
+    # drones of equal or longer battery that cover no earlier job
+    lengths = sorted(inst.lengths)
+    firsts = [0 if d is None else inst.n - bisect_right(lengths, d) for d in inst.batteries]
+    batches = sorted(set(k for k in firsts if k < inst.n))
+    assert len(calls["insert"]) == len(batches) == (1 if family == "uniform-usp" else 906)
+    assert calls["insert"] == [firsts.count(k) for k in batches]
 
 
 def test_dwp_battery_safety_fuzz():
