@@ -157,27 +157,35 @@ class ValidationReport:
         self.violations.append((kind, detail))
 
 
-def build_schedule(instance: Instance, assignment: Sequence[Sequence[int]]) -> Schedule:
+def build_schedule(instance: Instance, assignment: Sequence[Sequence[int]],
+                   sums=None) -> Schedule:
     """Construct a Schedule from raw per-machine job lists, recomputing loads:
     added left to right in float mode, and in rational mode summed and
-    compared as the integers of ``Instance.exact``, then made Fractions."""
+    compared as the integers of ``Instance.exact``, then made Fractions.
+    A run that placed every job once passes ``sums``, the per-machine sums
+    of ``decided_on``'s lengths in the order it added them: its job ids are
+    then not checked, and no load is recomputed."""
     if len(assignment) != instance.m:
         raise UsageError(f"assignment has {len(assignment)} machine slots, expected {instance.m}")
     lengths, n = instance.lengths, instance.n
-    ids = [i for jobs in assignment for i in jobs]
-    if ids and (min(ids) < 0 or max(ids) >= n):
-        j, i = next((j, i) for j, jobs in enumerate(assignment)
-                    for i in jobs if not 0 <= i < n)
-        raise UsageError(f"machine {j}: unknown job id {i}")
-    if isinstance(lengths[0], float):
-        loads = _loads(lengths, assignment)
-        makespan = max(map(truediv, loads, instance.speeds))
-    else:  # sum and compare integers, then map back to Fractions
+    floats = isinstance(lengths[0], float)
+    if sums is None:
+        ids = [i for jobs in assignment for i in jobs]
+        if ids and (min(ids) < 0 or max(ids) >= n):
+            j, i = next((j, i) for j, jobs in enumerate(assignment)
+                        for i in jobs if not 0 <= i < n)
+            raise UsageError(f"machine {j}: unknown job id {i}")
+        if floats:
+            sums = _loads(lengths, assignment)
+        else:
+            scaled = instance.exact.lengths
+            sums = [sum(map(scaled.__getitem__, jobs)) for jobs in assignment]
+    if floats:
+        loads, makespan = sums, max(map(truediv, sums, instance.speeds))
+    else:  # compare integers, then map back to Fractions
         exact = instance.exact
-        L, scaled = exact.L, exact.lengths
-        loads = [sum(map(scaled.__getitem__, jobs)) for jobs in assignment]
-        makespan = Fraction(max(map(mul, loads, exact.slopes)), L * exact.P)
-        loads = [Fraction(load, L) for load in loads]
+        makespan = Fraction(max(map(mul, sums, exact.slopes)), exact.L * exact.P)
+        loads = [Fraction(load, exact.L) for load in sums]
     return Schedule(tuple(map(tuple, assignment)), tuple(loads), makespan)
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from makespan import (Instance, Kind, UsageError, build_schedule, dwp_lpt,
                       feasibility_check, lpt_fast, lpt_naive, makespan, validate)
-from makespan.model import Schedule, battery_order
+from makespan.model import Schedule, battery_order, decided_on
 
 from conftest import dwp, restricted, usp
 
@@ -213,6 +213,31 @@ def test_build_schedule_rejects_unknown_job_ids():
                             ([[-1], [0, 1]], "machine 0: unknown job id -1")):
         with pytest.raises(UsageError, match=bad):
             build_schedule(inst, assignment)
+
+
+def test_build_schedule_takes_a_runs_sums():
+    # sums added in assignment order, as a run adds them, give the schedule
+    # that recomputing the loads gives, in both numeric modes
+    rng = random.Random(3)
+    for exact in (True, False):
+        for _ in range(50):
+            m, n = rng.randint(1, 4), rng.randint(1, 10)
+            speeds = [F(rng.randint(1, 9), rng.randint(1, 3)) for _ in range(m)]
+            lengths = [F(rng.randint(1, 50), rng.randint(1, 4)) for _ in range(n)]
+            if not exact:
+                speeds, lengths = list(map(float, speeds)), list(map(float, lengths))
+            inst = usp(speeds, lengths)
+            assignment = [[] for _ in range(m)]
+            for i in rng.sample(range(n), n):
+                assignment[rng.randrange(m)].append(i)
+            scaled = decided_on(inst)[0]
+            sums = []
+            for jobs in assignment:
+                load = scaled[0] - scaled[0]
+                for i in jobs:
+                    load += scaled[i]
+                sums.append(load)
+            assert build_schedule(inst, assignment, sums) == build_schedule(inst, assignment)
 
 
 def test_loads_round_trip_random_schedules():

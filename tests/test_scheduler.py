@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import random
@@ -233,6 +234,24 @@ def test_dwp_infeasible_raises():
     with pytest.raises(InfeasibleError,
                        match=r"^no admitted machine can carry job 0 \(length 6\)$"):
         dwp_lpt(inst)
+
+
+def test_envelope_runs_restore_the_collector():
+    # a run pauses the cyclic collector and leaves it as it found it, also
+    # when it raises
+    feasible = [(lpt_fast, usp([F(1), F(2)], [F(3), F(1)])),
+                (dwp_lpt, dwp([(F(2), F(9))], [F(1), F(8)]))]
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            for scheduler, inst in feasible:
+                scheduler(inst)
+                assert gc.isenabled() is enabled
+            with pytest.raises(InfeasibleError):
+                dwp_lpt(dwp([(F(1), F(5))], [F(6)]))
+            assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
 
 
 def test_dwp_admission_is_monotone():
