@@ -11,8 +11,11 @@ from hypothesis import given, strategies as st
 from makespan import (GenSpec, Kind, Mode, UsageError, bench_scaling,
                       feasibility_check, generate, ratio_sweep, validate,
                       write_instance)
-from makespan.gen_bench import DEFAULT_ALGORITHM, FAMILIES, _hist_bin, decimal_str
+from makespan.gen_bench import (DEFAULT_ALGORITHM, FAMILIES, _hist_bin, _sweep_spec,
+                                decimal_str)
 from makespan.cli import parse_instance_text
+from makespan.oracle import optimum_value
+from makespan.scheduler import run_scheduler
 
 
 def test_families_registry():
@@ -240,6 +243,29 @@ def test_verify_exact_sweeps_pinned():
         digest.update(json.dumps(result.to_json(), sort_keys=True).encode())
     assert digest.hexdigest() == (
         "6c55ad4cbf2ade627f5a244a8880c60d2dacfb113d8dffac67a1effa552992ab")
+
+
+def test_sweep_instance_runs_pinned():
+    """sha256 over what a sweep's tiny runs decide and count, on the instance
+    streams of the three verify-exact sweeps (rational, n <= 9, m <= 3, 200
+    instances each): the traced LPT run's decisions and schedule, all five
+    envelope counters, and the oracle's optimum finish value F. The counter
+    digests of tests/test_scheduler.py start at n = 150 and m = 5, so this
+    pins the tournament's work on runs of a few steps and <= 3 lines."""
+    digest = hashlib.sha256()
+    for family, distinct in (("uniform-dwp", False), ("equal-speed", False),
+                             ("uniform-usp", True)):
+        for index in range(200):
+            spec = _sweep_spec(family, index, 2024, 9, 3, F(1, 10), distinct)
+            inst = generate(spec, Mode.RATIONAL)
+            trace = run_scheduler(DEFAULT_ALGORITHM[family], inst)
+            sched = trace.schedule
+            digest.update(json.dumps(
+                [trace.decisions_json(), sched.assignment, list(map(str, sched.loads)),
+                 str(sched.makespan), trace.counters, optimum_value(inst)[0]],
+                sort_keys=True).encode())
+    assert digest.hexdigest() == (
+        "c3944e54317ecd98e55bed9d7348f3577b4486a5de687997185213de1e9d4d9c")
 
 
 def fraction_scan_bin(ratio):
