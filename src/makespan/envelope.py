@@ -23,9 +23,11 @@ structures for mobile data", J. Algorithms 31, 1999) over per-slope buckets:
   envelope's one horizon to it. Every node holds for lo <= x < horizon;
 * the leaf row is sized once per batch: the first batch gets exactly one
   leaf per slope, and a later batch that brings more slopes than the row
-  holds doubles it until they fit, then replays every node once. Leaves are
-  never freed. Any row size C makes a binary tree in the heap layout, with
-  every leaf at depth floor(log2 C) or one more;
+  holds doubles it until they fit. Growing is one pass: the batch's lines
+  are appended to their buckets, every bucket is heapified and offers its
+  minimum, and every node is replayed once. Leaves are never freed. Any
+  row size C makes a binary tree in the heap layout, with every leaf at
+  depth floor(log2 C) or one more;
 * a batch's new slopes take their leaves in ascending slope order. A single
   batch (lpt-fast admits every machine in one) thus lays the whole row out
   by slope: each subtree covers a contiguous slope range, so as x falls its
@@ -59,7 +61,7 @@ On that pattern tests/test_envelope.py holds node replays per job under
 from __future__ import annotations
 
 import json
-from heapq import heappop, heappush, heapreplace
+from heapq import heapify, heappop, heappush, heapreplace
 from typing import NamedTuple
 
 from .errors import UsageError
@@ -116,34 +118,44 @@ class LowerEnvelope:
     def insert(self, *lines: Line) -> None:
         """Add a batch of lines; no owner may be stored already or repeat.
 
-        The batch costs one update: if it brings more slopes than the leaf
-        row holds, the row grows once and every node is replayed; else the
-        union of the paths of the leaves whose minimum it lowered is
-        replayed once, up to the pending leaf's path, which stays pending.
+        The batch costs one update. New slopes take leaves in ascending slope
+        order. If they overflow the leaf row, the batch's lines are appended
+        to their buckets and ``_grow`` builds the row and every node in one
+        pass; else each line is pushed onto its bucket, and the union of the
+        paths of the leaves whose minimum the batch lowered is replayed once,
+        up to the pending leaf's path, which stays pending.
         """
         where, leaf_of, heaps = self._where, self._leaf_of, self._heaps
-        seen = set()
-        for line in lines:
-            if line[2] in where or line[2] in seen:
-                raise UsageError(f"owner {line[2]} is stored already or repeats in the batch")
-            seen.add(line[2])
+        seen, new = set(), set()  # the batch's owners, its slopes without a leaf
+        for slope, _, owner in lines:
+            if owner in where or owner in seen:
+                raise UsageError(f"owner {owner} is stored already or repeats in the batch")
+            seen.add(owner)
+            if slope not in leaf_of:
+                new.add(slope)
         self.counters["inserts"] += len(lines)
-        cap, nodes, dirty = self._cap, self._nodes, self._dirty
+        for slope in sorted(new):
+            leaf_of[slope] = len(heaps)
+            heaps.append([])
+        cap = self._cap
+        if len(heaps) > cap:  # the row grows: _grow heapifies every bucket
+            for slope, icept, owner in lines:
+                leaf = leaf_of[slope]
+                entry = where[owner] = (icept, owner, slope, leaf)
+                heaps[leaf].append(entry)
+            self._grow()
+            return
+        nodes, dirty = self._nodes, self._dirty
         changed = []  # leaves whose minimum the batch lowered
-        for slope, icept, owner in sorted(lines):  # new slopes get leaves in slope order
-            leaf = leaf_of.get(slope)
-            if leaf is None:
-                leaf = leaf_of[slope] = len(heaps)
-                heaps.append([])
+        for slope, icept, owner in lines:
+            leaf = leaf_of[slope]
             entry = where[owner] = (icept, owner, slope, leaf)
             heappush(heaps[leaf], entry)
-            if leaf != dirty and leaf < cap:
+            if leaf != dirty:
                 best = nodes[cap + leaf][1]
                 if best is None or entry < best:
                     changed.append(leaf)
-        if len(heaps) > cap:
-            self._grow()
-        elif changed:
+        if changed:
             self._replay_paths(changed)
 
     def delete(self, owner: int) -> None:
@@ -323,17 +335,23 @@ class LowerEnvelope:
         return owners, values
 
     def _grow(self) -> None:
-        """Give every slope a leaf and replay every internal node at _x. A
-        tree without leaves gets exactly one per slope; a full one doubles
-        its leaf row until all fit."""
-        leaves = len(self._heaps)
+        """Give every slope a leaf and replay every internal node at _x, in
+        one pass: each bucket is heapified and offers its live minimum, then
+        ``_rebuild`` replays the nodes. A tree without leaves gets exactly
+        one per slope; a full one doubles its leaf row until all fit."""
+        heaps, where = self._heaps, self._where
+        leaves = len(heaps)
         cap = self._cap or leaves
         while cap < leaves:
             cap *= 2
-        self._cap = cap
-        self._nodes = [_EMPTY] * (2 * cap)
-        for leaf in range(leaves):
-            self._refresh(leaf)
+        nodes = [_EMPTY] * (2 * cap)
+        for k, heap in enumerate(heaps, cap):
+            heapify(heap)
+            while heap and where.get(heap[0][1]) is not heap[0]:  # drop deleted lines
+                heappop(heap)
+            if heap:
+                nodes[k] = (_NEG_INF, heap[0])
+        self._cap, self._nodes = cap, nodes
         self._rebuild(self._x)
 
     def _rebuild(self, x) -> None:
@@ -419,9 +437,20 @@ class LowerEnvelope:
                 klo = other
             if a is None:
                 a = b
-            elif b is not None:
+            elif b is not None:  # _decide, inline
                 comparisons += 1
-                a, klo, horizon = _decide(a, b, x, klo, horizon)
+                slope, bslope = a[2], b[2]
+                cross = (b[0] - a[0]) / (slope - bslope)
+                if x < cross:  # the steeper line wins below cross
+                    if cross < horizon:
+                        horizon = cross
+                    if bslope > slope:
+                        a = b
+                else:  # the flatter line wins from cross on
+                    if cross > klo:
+                        klo = cross
+                    if bslope < slope:
+                        a = b
             nodes[k] = (klo, a)
         self._horizon = horizon
         counters = self.counters
@@ -492,7 +521,8 @@ def _decide(a, b, x, lo, hi):
     """The winner at x of two lines of different slopes, with lo raised to
     their crossing if the flatter line wins (from there on), or hi lowered
     to it if the steeper one wins (left of it): at equal value the lesser
-    slope wins. Either order of a and b gives the same crossing."""
+    slope wins. Either order of a and b gives the same crossing. The walk in
+    ``_steps`` and the loop in ``_replay`` inline it: change all three alike."""
     cross = (b[0] - a[0]) / (a[2] - b[2])
     if x < cross:
         return a if a[2] > b[2] else b, lo, cross if cross < hi else hi

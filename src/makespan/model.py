@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import repeat
 from operator import attrgetter, mul, truediv
 from typing import NamedTuple, Optional, Sequence
 
@@ -167,10 +168,11 @@ def build_schedule(instance: Instance, assignment: Sequence[Sequence[int]],
     then not checked, and no load is recomputed."""
     if len(assignment) != instance.m:
         raise UsageError(f"assignment has {len(assignment)} machine slots, expected {instance.m}")
-    lengths, n = instance.lengths, instance.n
+    lengths = instance.lengths
     floats = isinstance(lengths[0], float)
     if sums is None:
         ids = [i for jobs in assignment for i in jobs]
+        n = len(lengths)
         if ids and (min(ids) < 0 or max(ids) >= n):
             j, i = next((j, i) for j, jobs in enumerate(assignment)
                         for i in jobs if not 0 <= i < n)
@@ -185,7 +187,7 @@ def build_schedule(instance: Instance, assignment: Sequence[Sequence[int]],
     else:  # compare integers, then map back to Fractions
         exact = instance.exact
         makespan = Fraction(max(map(mul, sums, exact.slopes)), exact.L * exact.P)
-        loads = [Fraction(load, exact.L) for load in sums]
+        loads = map(Fraction, sums, repeat(exact.L))
     return Schedule(tuple(map(tuple, assignment)), tuple(loads), makespan)
 
 

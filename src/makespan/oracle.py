@@ -13,7 +13,7 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import mul, sub
 
 from . import scheduler
 from .errors import InfeasibleError, SizeGuardError, UsageError
@@ -106,8 +106,8 @@ def _fits(jobs, choices, lengths, twin, loads, caps, vec) -> bool:
                 return True
         return False
 
-    rooms = [cap - load for cap, load in zip(caps, loads)]
-    spare = sum(r for r in rooms if r >= shortest) - sum(map(lengths.__getitem__, jobs))
+    rooms = map(sub, caps, loads)
+    spare = sum(filter(shortest.__le__, rooms)) - sum(map(lengths.__getitem__, jobs))
     try:
         return spare >= 0 and place(0, spare)
     finally:
@@ -145,7 +145,7 @@ def brute_force_opt(instance: Instance) -> Schedule:
     return build_schedule(instance, assignment)
 
 
-def optimum_value(instance: Instance) -> tuple:
+def optimum_value(instance: Instance, incumbent=None) -> tuple:
     """(F, vec, (eligible, twin, order)): the value pass. F is the optimum
     makespan as a finish value of ``Instance.exact`` (makespan * L * P),
     vec an optimal witness (job i on machine vec[i]), and the rest the
@@ -155,21 +155,27 @@ def optimum_value(instance: Instance) -> tuple:
     dyadic rational, so float mode is searched exactly, without a
     tolerance): machine j's finish value is its integer load times
     slopes[j]. Jobs are branched in LPT's order (``job_order``), each over
-    its machines fastest first (``candidate_machines``). LPT's own schedule,
-    the scan ``scheduler.lpt_scan`` over the same candidates, seeds the
-    bound F. The search then looks for a schedule strictly below F,
-    capping machine j's load at (F - 1) // slopes[j], so ties prune as well
-    as losses, and starts again below each one it finds until none is left.
+    its machines fastest first (``candidate_machines``). A valid schedule
+    seeds the bound F: ``incumbent``, its (vec, F), if the caller has one
+    (``ratio_report`` passes the run under test's, so the instance is
+    feasible and the caller has checked the size guard), else LPT's own,
+    the scan ``scheduler.lpt_scan`` over the same candidates, after the
+    feasibility check and the guard. The search then looks for a schedule
+    strictly below F, capping machine j's load at (F - 1) // slopes[j], so
+    ties prune as well as losses, and starts again below each one it finds
+    until none is left.
 
     Identical machines: the search skips machine j while the last machine
     before j with the same slope and battery (USP and DWP only) carries the
-    same load. Guarded to m^n <= 10^8 raw assignments.
+    same load. A call without an incumbent is guarded to m^n <= 10^8 raw
+    assignments; ``ratio_report`` decides the guard before it passes one.
     """
-    if not feasibility_check(instance):
-        raise InfeasibleError("instance has no valid schedule")
     n, m = instance.n, instance.m
-    if exceeds_guard(m, n):
-        raise SizeGuardError(f"m^n = {m}^{n} exceeds the {BRUTE_FORCE_GUARD:g} guard")
+    if incumbent is None:
+        if not feasibility_check(instance):
+            raise InfeasibleError("instance has no valid schedule")
+        if exceeds_guard(m, n):
+            raise SizeGuardError(f"m^n = {m}^{n} exceeds the {BRUTE_FORCE_GUARD:g} guard")
 
     exact = instance.exact
     lengths, slopes, batteries = exact.lengths, exact.slopes, exact.batteries
@@ -178,14 +184,17 @@ def optimum_value(instance: Instance) -> tuple:
     # j itself if there is none (always for RESTRICTED instances)
     last_of = {}
     twin = []
-    for j in range(m):
-        key = j if instance.kind is Kind.RESTRICTED else (slopes[j], batteries[j])
+    keys = range(m) if instance.kind is Kind.RESTRICTED else zip(slopes, batteries)
+    for j, key in enumerate(keys):
         twin.append(last_of.get(key, j))
         last_of[key] = j
 
     order = job_order(lengths)
-    vec, values = scheduler.lpt_scan(lengths, slopes, eligible, order)
-    best = max(values)
+    if incumbent is None:
+        vec, values = scheduler.lpt_scan(lengths, slopes, eligible, order)
+        best = max(values)
+    else:
+        vec, best = incumbent
     choices = [eligible[i] for i in order]
     while True:
         trial = vec.copy()
@@ -268,11 +277,14 @@ def ratio_report(instance: Instance, algorithm: str,
     """Run a scheduler and compare against brute force (within the size
     guard) or the makespan lower bound. A rational optimum is the value
     pass's finish value F over L * P, and the ratio the scheduler's finish
-    value over F; a float one is the optimal schedule's makespan, rounded as
-    ``build_schedule`` rounds it. The scheduler is looked up in its module
-    at each call, so a patched ``scheduler.run_scheduler`` is the one run."""
-    trace = scheduler.run_scheduler(algorithm, instance, record_trace=False)
-    alg_span = trace.schedule.makespan
+    value over F; the value pass starts below the run's own schedule, which
+    it takes as its incumbent, so it checks neither feasibility nor the
+    guard again and scans no LPT seed of its own. A float optimum is the
+    optimal schedule's makespan, rounded as ``build_schedule`` rounds it.
+    The scheduler is looked up in its module at each call, so a patched
+    ``scheduler.run_scheduler`` is the one run."""
+    schedule = scheduler.run_scheduler(algorithm, instance, record_trace=False).schedule
+    alg_span = schedule.makespan
     method = "brute-force"
     if exceeds_guard(instance.m, instance.n):
         opt, method = makespan_lower_bound(instance), "lower-bound"
@@ -281,10 +293,15 @@ def ratio_report(instance: Instance, algorithm: str,
         opt = brute_force_opt(instance).makespan
         ratio = alg_span / opt
     else:
-        best, _, _ = optimum_value(instance)
         scale = instance.exact.L * instance.exact.P
+        alg = alg_span.numerator * (scale // alg_span.denominator)  # its finish value
+        vec = [0] * instance.n
+        for j, jobs in enumerate(schedule.assignment):
+            for i in jobs:
+                vec[i] = j
+        best, _, _ = optimum_value(instance, (vec, alg))
         opt = Fraction(best, scale)
-        ratio = Fraction(alg_span.numerator * (scale // alg_span.denominator), best)
+        ratio = Fraction(alg, best)
     return RatioReport(
         instance_id=instance_id,
         algorithm=algorithm,

@@ -233,11 +233,11 @@ def _envelope_lpt(instance: Instance, admission_order: Sequence[int], name: str,
     env = LowerEnvelope()
     # a machine is idle until admitted: its line is (slope, 0)
     env.insert(*[(slopes[j], zero, j) for j in schedule[0][1]])
-    assignment = [[] for _ in range(instance.m)]
-    loads = [zero] * instance.m  # added in LPT order, as build_schedule would
+    loads = [zero] * len(slopes)  # added in LPT order, as build_schedule would
+    assignment = [[] for _ in loads]
     machine_ids, after = [], []
     b = 1  # the next batch of the schedule
-    for start in range(0, instance.n, _CHUNK):
+    for start in range(0, len(order), _CHUNK):
         stop = start + _CHUNK
         admit = []  # the chunk's batches, by step within the chunk
         while b < len(schedule) and schedule[b][0] < stop:

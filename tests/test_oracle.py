@@ -11,7 +11,8 @@ from makespan import (PHI, GenSpec, InfeasibleError, Instance, Mode, SizeGuardEr
                       UsageError, brute_force_opt, dwp_lpt, generate, le_phi,
                       makespan_lower_bound, ratio_report, round_r)
 from makespan.gen_bench import DEFAULT_ALGORITHM, FAMILIES
-from makespan.oracle import BRUTE_FORCE_GUARD, exceeds_guard, lt_phi
+from makespan.oracle import BRUTE_FORCE_GUARD, exceeds_guard, lt_phi, optimum_value
+from makespan.scheduler import run_scheduler
 
 from conftest import dwp, restricted, usp
 
@@ -375,6 +376,32 @@ def test_ratio_report_value_pass_equals_brute_force():
         report = ratio_report(inst, algorithm)
         assert report.opt_value == brute_force_opt(inst).makespan
         assert report.ratio == report.alg_makespan / report.opt_value
+
+
+def test_value_pass_from_any_valid_incumbent():
+    """The value pass finds the same optimum from its own LPT seed and from
+    any valid schedule given as the incumbent: the LPT run's, as
+    ratio_report passes it, or every job on the one machine that covers
+    them all (the roomiest drone)."""
+    for family in ("uniform-usp", "uniform-dwp", "equal-speed"):
+        for seed in range(30):
+            inst = generate(GenSpec(family=family, n=1 + seed % 8, m=1 + seed % 3,
+                                    seed=seed), Mode.RATIONAL)
+            best, _, _ = optimum_value(inst)
+            exact = inst.exact
+            roomiest = max(range(inst.m), key=lambda j: exact.batteries[j] or math.inf)
+            lpt = ratio_report(inst, DEFAULT_ALGORITHM[family])
+            scale = exact.L * exact.P
+            lpt_value = lpt.alg_makespan * scale
+            vec = [0] * inst.n
+            for j, jobs in enumerate(run_scheduler(DEFAULT_ALGORITHM[family], inst).schedule
+                                     .assignment):
+                for i in jobs:
+                    vec[i] = j
+            for incumbent in ((vec, int(lpt_value)),
+                              ([roomiest] * inst.n, sum(exact.lengths) * exact.slopes[roomiest])):
+                assert optimum_value(inst, incumbent)[0] == best, (family, seed)
+            assert lpt.opt_value * scale == best
 
 
 @pytest.mark.parametrize("mode", [Mode.F64, Mode.RATIONAL])
