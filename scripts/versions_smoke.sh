@@ -7,7 +7,9 @@
 # drones enter in 49 batches between LPT steps (seed 2), `schedule --algo
 # opt --numeric f64` on a uniform-dwp instance whose LPT seed is already
 # optimal (seed 733), every scheduler and `opt`
-# in rational mode on hand-written instances with huge denominators, and
+# in rational mode on hand-written instances with huge denominators, `opt`
+# in both modes on Graham's m = 8 instance (8^17 raw assignments, solved
+# within the search's work budget), and
 # `verify --count 50` on both uniform families, and with `--bound phi` on
 # uniform-dwp (seeds 50 to 99) and `--bound 4/3` on equal-speed. Every step
 # must exit 0; each step's stdout is kept in OUT_DIR, so two interpreters'
@@ -77,6 +79,16 @@ for kind_algo in usp:lpt-naive usp:lpt-fast usp:opt dwp:dwp-lpt dwp:opt \
 done
 cli dwp733.txt gen --family uniform-dwp --n 7 --m 2 --seed 733
 cli dwp733-opt-f64.json schedule --algo opt --input "$out/dwp733.txt" --numeric f64
+# Graham's tight family at m = 8: two jobs each of lengths 15 down to 9 and
+# three of length 8 on 8 identical machines, LPT 31 against the optimum 24
+{ echo "USP 8 17"; printf '1\n%.0s' 1 2 3 4 5 6 7 8
+  for l in 15 14 13 12 11 10 9; do printf '%s\n%s\n' $l $l; done
+  printf '8\n8\n8\n'
+} > "$out/graham8.txt"
+for numeric in f64 rational; do
+    cli "graham8-opt-$numeric.json" schedule --algo opt --input "$out/graham8.txt" \
+        --numeric "$numeric"
+done
 for family in uniform-usp uniform-dwp; do
     cli "verify-$family.json" verify --family "$family" --count 50
 done

@@ -1,7 +1,7 @@
 """Command-line front end: schedule, verify, bench, gen.
 
 Exit codes: 0 success, 1 verification failure, 2 parse/usage error,
-3 infeasible instance, 4 exhaustive-search size guard.
+3 infeasible instance, 4 the exact search's work budget ran out.
 """
 
 from __future__ import annotations

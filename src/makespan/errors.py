@@ -19,4 +19,4 @@ class InfeasibleError(ValueError):
 
 
 class SizeGuardError(ValueError):
-    """Instance exceeds the exhaustive-search size guard."""
+    """The exact search ran out of its work budget (``oracle.SEARCH_BUDGET``)."""

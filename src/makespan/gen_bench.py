@@ -27,7 +27,7 @@ from typing import Optional
 from .errors import SizeGuardError, UsageError
 from .model import Instance, Kind
 from .numeric import Mode, scalar_to_str
-from .oracle import BRUTE_FORCE_GUARD, PHI, ratio_report
+from .oracle import PHI, ratio_report
 from .scheduler import run_scheduler
 
 FAMILIES = (
@@ -343,12 +343,11 @@ def _sweep_chunk(args) -> SweepResult:
     for specs in _spec_blocks(family, seed, start, stop, n_max, m_max, eps, distinct_speeds):
         instances = [generate(spec, Mode.RATIONAL) for spec in specs]
         for spec, instance in zip(specs, instances):
-            report = ratio_report(instance, algorithm, instance_id=f"{family}-{spec.seed}")
-            if report.opt_method != "brute-force":  # a lower bound is no exact ratio
-                raise SizeGuardError(f"instance {report.instance_id}: m^n = {instance.m}^"
-                                     f"{instance.n} exceeds the {BRUTE_FORCE_GUARD:g} "
-                                     f"guard of the exact ratio")
-            ratio = report.ratio
+            instance_id = f"{family}-{spec.seed}"
+            try:
+                ratio = ratio_report(instance, algorithm, instance_id=instance_id).ratio
+            except SizeGuardError as exc:
+                raise SizeGuardError(f"instance {instance_id}: {exc}") from None
             bin_key = _hist_bin(ratio)
             histogram[bin_key] = histogram.get(bin_key, 0) + 1
             p, q = ratio.as_integer_ratio()

@@ -24,14 +24,10 @@ from .numeric import Scalar, scalar_to_str
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
-#: Exhaustive search refuses instances with more than this many assignments.
-BRUTE_FORCE_GUARD = 10 ** 8
-
-
-def exceeds_guard(m: int, n: int) -> bool:
-    """m ** n > BRUTE_FORCE_GUARD, building the power only for n below the
-    guard's bit length b: m >= 2 and n >= b give m ** n >= 2 ** b > guard."""
-    return m > 1 and (n >= BRUTE_FORCE_GUARD.bit_length() or m ** n > BRUTE_FORCE_GUARD)
+#: Units of work one exact search may spend (m * n for its setup, then one
+#: per node) before it raises SizeGuardError: work, not time, so an outcome
+#: repeats exactly.
+SEARCH_BUDGET = 10 ** 7
 
 
 def le_phi(x: Scalar) -> bool:
@@ -68,10 +64,12 @@ def round_r(x: Scalar) -> Scalar:
     return float(math.floor(x))
 
 
-def _fits(jobs, choices, lengths, twin, loads, caps, vec) -> bool:
+def _fits(jobs, choices, lengths, twin, loads, caps, vec, budget) -> bool:
     """Depth-first search: place jobs[k] on a machine of choices[k], for
     k = 0, 1, ... in turn, keeping every load within its cap. True once all
     jobs are placed, with vec[i] the machine of job i; loads is restored.
+    Each node spends one unit of budget[0], the work left; none left raises
+    SizeGuardError.
 
     Machine j is skipped while twin[j] < j carries the same load: swapping
     the two machines' later jobs maps one subtree onto the other. The spare
@@ -81,8 +79,13 @@ def _fits(jobs, choices, lengths, twin, loads, caps, vec) -> bool:
     """
     last = len(jobs)
     shortest = min(map(lengths.__getitem__, jobs))
+    left = budget[0]
 
     def place(k: int, spare: int) -> bool:
+        nonlocal left
+        left -= 1
+        if left < 0:
+            raise SizeGuardError(f"the exact search ran out of its {SEARCH_BUDGET} units")
         if k == last:
             return True
         i = jobs[k]
@@ -111,6 +114,7 @@ def _fits(jobs, choices, lengths, twin, loads, caps, vec) -> bool:
     try:
         return spare >= 0 and place(0, spare)
     finally:
+        budget[0] = left
         del place  # it refers to itself: break the cycle, leave no garbage
 
 
@@ -123,8 +127,8 @@ def brute_force_opt(instance: Instance) -> Schedule:
     witness's machine, in id order, each checked by a longest-first
     completion search within the optimum. The first that passes, with its
     completion, becomes the new witness; if none does, job i keeps the
-    witness's machine."""
-    best, vec, (eligible, twin, order) = optimum_value(instance)
+    witness's machine. Both passes spend one ``SEARCH_BUDGET``."""
+    best, vec, (eligible, twin, order, budget) = optimum_value(instance)
     exact = instance.exact
     lengths = exact.lengths
     caps = [best // s for s in exact.slopes]
@@ -136,7 +140,7 @@ def brute_force_opt(instance: Instance) -> Schedule:
             free = [k for k in order if k > i]
             trial = vec.copy()
             if _fits([i] + free, [below] + [eligible[k] for k in free],
-                     lengths, twin, loads, caps, trial):
+                     lengths, twin, loads, caps, trial, budget):
                 vec = trial
         loads[vec[i]] += l
     assignment = [[] for _ in range(instance.m)]
@@ -146,10 +150,10 @@ def brute_force_opt(instance: Instance) -> Schedule:
 
 
 def optimum_value(instance: Instance, incumbent=None) -> tuple:
-    """(F, vec, (eligible, twin, order)): the value pass. F is the optimum
-    makespan as a finish value of ``Instance.exact`` (makespan * L * P),
-    vec an optimal witness (job i on machine vec[i]), and the rest the
-    search space the vector pass reuses.
+    """(F, vec, (eligible, twin, order, budget)): the value pass. F is the
+    optimum makespan as a finish value of ``Instance.exact`` (makespan * L *
+    P), vec an optimal witness (job i on machine vec[i]), and the rest the
+    search space and the work left (budget[0]) that the vector pass reuses.
 
     The search decides on ``Instance.exact`` in both modes (a float is a
     dyadic rational, so float mode is searched exactly, without a
@@ -158,24 +162,24 @@ def optimum_value(instance: Instance, incumbent=None) -> tuple:
     its machines fastest first (``candidate_machines``). A valid schedule
     seeds the bound F: ``incumbent``, its (vec, F), if the caller has one
     (``ratio_report`` passes the run under test's, so the instance is
-    feasible and the caller has checked the size guard), else LPT's own,
-    the scan ``scheduler.lpt_scan`` over the same candidates, after the
-    feasibility check and the guard. The search then looks for a schedule
-    strictly below F, capping machine j's load at (F - 1) // slopes[j], so
-    ties prune as well as losses, and starts again below each one it finds
-    until none is left.
+    feasible), else LPT's own, the scan ``scheduler.lpt_scan`` over the
+    same candidates, after the feasibility check. The search then looks
+    for a schedule strictly below F, capping machine j's load at
+    (F - 1) // slopes[j], so ties prune as well as losses, and starts again
+    below each one it finds until none is left.
 
     Identical machines: the search skips machine j while the last machine
     before j with the same slope and battery (USP and DWP only) carries the
-    same load. A call without an incumbent is guarded to m^n <= 10^8 raw
-    assignments; ``ratio_report`` decides the guard before it passes one.
+    same load. The call spends ``SEARCH_BUDGET``: m * n units before it
+    builds anything (the candidate lists and the LPT seed are O(mn)), then
+    one per search node; SizeGuardError once it runs out.
     """
     n, m = instance.n, instance.m
-    if incumbent is None:
-        if not feasibility_check(instance):
-            raise InfeasibleError("instance has no valid schedule")
-        if exceeds_guard(m, n):
-            raise SizeGuardError(f"m^n = {m}^{n} exceeds the {BRUTE_FORCE_GUARD:g} guard")
+    if incumbent is None and not feasibility_check(instance):
+        raise InfeasibleError("instance has no valid schedule")
+    budget = [SEARCH_BUDGET - m * n]
+    if budget[0] < 0:
+        raise SizeGuardError(f"m * n = {m * n} exceeds the exact search's {SEARCH_BUDGET} units")
 
     exact = instance.exact
     lengths, slopes, batteries = exact.lengths, exact.slopes, exact.batteries
@@ -199,8 +203,8 @@ def optimum_value(instance: Instance, incumbent=None) -> tuple:
     while True:
         trial = vec.copy()
         caps = [(best - 1) // s for s in slopes]
-        if not _fits(order, choices, lengths, twin, [0] * m, caps, trial):
-            return best, vec, (eligible, twin, order)
+        if not _fits(order, choices, lengths, twin, [0] * m, caps, trial, budget):
+            return best, vec, (eligible, twin, order, budget)
         vec = trial
         loads = [0] * m
         for i, j in enumerate(vec):
@@ -258,7 +262,6 @@ class RatioReport:
     alg_makespan: Scalar
     opt_value: Scalar
     ratio: Scalar
-    opt_method: str  # "brute-force" or "lower-bound"
 
     def to_json_line(self) -> str:
         return json.dumps({
@@ -268,28 +271,24 @@ class RatioReport:
             "opt_value": scalar_to_str(self.opt_value),
             "ratio": scalar_to_str(self.ratio),
             "ratio_float": float(self.ratio),
-            "opt_method": self.opt_method,
+            "opt_method": "brute-force",
         })
 
 
 def ratio_report(instance: Instance, algorithm: str,
                  instance_id: str = "") -> RatioReport:
-    """Run a scheduler and compare against brute force (within the size
-    guard) or the makespan lower bound. A rational optimum is the value
-    pass's finish value F over L * P, and the ratio the scheduler's finish
-    value over F; the value pass starts below the run's own schedule, which
-    it takes as its incumbent, so it checks neither feasibility nor the
-    guard again and scans no LPT seed of its own. A float optimum is the
-    optimal schedule's makespan, rounded as ``build_schedule`` rounds it.
+    """Run a scheduler and compare against the exact optimum; SizeGuardError
+    if the search runs out of ``SEARCH_BUDGET``. A rational optimum is the
+    value pass's finish value F over L * P, and the ratio the scheduler's
+    finish value over F; the value pass starts below the run's own schedule,
+    which it takes as its incumbent, so it checks no feasibility again and
+    scans no LPT seed of its own. A float optimum is the optimal schedule's
+    makespan, rounded as ``build_schedule`` rounds it.
     The scheduler is looked up in its module at each call, so a patched
     ``scheduler.run_scheduler`` is the one run."""
     schedule = scheduler.run_scheduler(algorithm, instance, record_trace=False).schedule
     alg_span = schedule.makespan
-    method = "brute-force"
-    if exceeds_guard(instance.m, instance.n):
-        opt, method = makespan_lower_bound(instance), "lower-bound"
-        ratio = alg_span / opt
-    elif isinstance(alg_span, float):
+    if isinstance(alg_span, float):
         opt = brute_force_opt(instance).makespan
         ratio = alg_span / opt
     else:
@@ -308,5 +307,4 @@ def ratio_report(instance: Instance, algorithm: str,
         alg_makespan=alg_span,
         opt_value=opt,
         ratio=ratio,
-        opt_method=method,
     )

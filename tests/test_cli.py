@@ -8,7 +8,7 @@ from pathlib import Path
 import jsonschema
 import pytest
 
-from makespan import PHI, GenSpec, Mode, ParseError, generate, write_instance
+from makespan import PHI, GenSpec, Mode, ParseError, generate, le_phi, write_instance
 from makespan.cli import main, parse_instance_text
 
 SCHEMAS = Path(__file__).resolve().parent.parent / "schemas"
@@ -172,7 +172,9 @@ def test_schedule_infeasible_exit_3(tmp_path, capsys):
 
 
 def test_schedule_size_guard_exit_4(tmp_path):
-    lines = ["USP 10 9"] + ["1"] * 10 + ["1"] * 9
+    # m * n = 3163^2 > 10^7: past the exact search's work budget before it
+    # builds anything
+    lines = ["USP 3163 3163"] + ["1"] * (2 * 3163)
     path = tmp_path / "big.txt"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert main(["schedule", "--algo", "opt", "--input", str(path)]) == 4
@@ -278,13 +280,27 @@ def test_verify_dwp_phi_small(tmp_path, capsys, monkeypatch):
     assert payload["bound_float"] == PHI  # the nearest double to phi
 
 
-def test_verify_past_the_guard_is_a_size_guard_error(tmp_path, capsys, monkeypatch):
-    # n up to 30 on 3 drones leaves brute force's reach: a lower bound would
-    # read as a ratio near 2.9 and a witness against the phi theorem
+VERIFY_N30 = ["verify", "--family", "uniform-dwp", "--count", "5", "--bound", "phi",
+              "--max-n", "30", "--max-m", "3"]
+
+
+def test_verify_n30_is_exact_within_phi(tmp_path, capsys, monkeypatch):
+    # two of the five instances have 2^28 and 3^27 raw assignments, yet the
+    # pruned search solves every one within its work budget
     monkeypatch.chdir(tmp_path)
-    code = main(["verify", "--family", "uniform-dwp", "--count", "5", "--bound", "phi",
-                 "--max-n", "30", "--max-m", "3"])
-    assert code == 4
+    assert main(VERIFY_N30) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["violations"] == [] and le_phi(F(payload["max_ratio"]))
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_verify_past_the_guard_is_a_size_guard_error(tmp_path, capsys, monkeypatch):
+    # a sweep instance past the work budget exits 4 and names the instance:
+    # verify reports exact ratios only, so it writes no witness
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setenv("MAKESPAN_THREADS", "1")
+    monkeypatch.setattr("makespan.oracle.SEARCH_BUDGET", 40)
+    assert main(VERIFY_N30) == 4
     err = capsys.readouterr().err
     assert "size guard" in err and "uniform-dwp-" in err
     assert list(tmp_path.iterdir()) == []

@@ -11,7 +11,7 @@ from makespan import (PHI, GenSpec, InfeasibleError, Instance, Mode, SizeGuardEr
                       UsageError, brute_force_opt, dwp_lpt, generate, le_phi,
                       makespan_lower_bound, ratio_report, round_r)
 from makespan.gen_bench import DEFAULT_ALGORITHM, FAMILIES
-from makespan.oracle import BRUTE_FORCE_GUARD, exceeds_guard, lt_phi, optimum_value
+from makespan.oracle import lt_phi, optimum_value
 from makespan.scheduler import run_scheduler
 
 from conftest import dwp, restricted, usp
@@ -163,20 +163,61 @@ def test_brute_force_float_mode_agrees():
         assert float(brute_force_opt(exact).makespan) == brute_force_opt(boxed).makespan
 
 
-def test_brute_force_size_guard():
-    inst = usp([F(1)] * 10, [F(1)] * 9)  # 10^9 assignments
+def test_brute_force_size_guard(monkeypatch):
+    # 20 odd lengths, sum 2400, on 3 identical machines: no 800-800-800
+    # split exists, and the search takes 717,408 units to show it, far
+    # past a budget of 10^5
+    inst = usp([F(1)] * 3, [F(2 * k + 101) for k in range(20)])
+    monkeypatch.setattr("makespan.oracle.SEARCH_BUDGET", 10 ** 5)
     with pytest.raises(SizeGuardError):
         brute_force_opt(inst)
-    # m^n = (10^5)^(10^6) has 5 million digits: refused without building it
+    with pytest.raises(SizeGuardError):
+        ratio_report(inst, "lpt-naive")
+    monkeypatch.undo()
+    # m * n = 10^11 units: refused before any O(mn) candidate list is built
     with pytest.raises(SizeGuardError):
         brute_force_opt(usp([1.0] * 10 ** 5, [1.0] * 10 ** 6))
 
 
-def test_exceeds_guard_matches_the_power():
-    for m, n in ((1, 1), (1, 30), (2, 26), (2, 27), (10, 8), (10, 9)):
-        assert exceeds_guard(m, n) == (m ** n > BRUTE_FORCE_GUARD), (m, n)
-    assert not exceeds_guard(2, 26) and exceeds_guard(2, 27)
-    assert not exceeds_guard(10, 8) and exceeds_guard(10, 9)
+def graham_family(m):
+    """m identical machines; two jobs each of lengths 2m-1 down to m+1, and
+    three of length m: LPT's makespan 4m - 1 against the optimum 3m."""
+    lengths = [F(l) for l in range(2 * m - 1, m, -1) for _ in range(2)] + [F(m)] * 3
+    return usp([F(1)] * m, lengths)
+
+
+def test_search_budget_boundary(monkeypatch):
+    """A search that takes N units of work is solved with a budget of N and
+    refused with N - 1: m * n units of setup, then one per search node."""
+    def report(inst):
+        return ratio_report(inst, "lpt-naive")
+
+    graham, small = graham_family(12), usp([F(1), F(2)], [F(7), F(4), F(7), F(4)])
+    assert brute_force_opt(small).assignment == ((0,), (1, 2, 3))
+    cases = (
+        # m * n = 300, then 286 nodes, all in the value pass: its witness
+        # leaves the vector pass no lower machine to try
+        (graham, brute_force_opt, 586), (graham, report, 586),
+        # m * n = 8, then 5 nodes in the value pass and 5 in the vector pass
+        # (jobs 0 and 2, both of length 7, swap machines)
+        (small, brute_force_opt, 18), (small, report, 13),
+    )
+    for inst, solve, units in cases:
+        monkeypatch.setattr("makespan.oracle.SEARCH_BUDGET", units)
+        solve(inst)
+        monkeypatch.setattr("makespan.oracle.SEARCH_BUDGET", units - 1)
+        with pytest.raises(SizeGuardError):
+            solve(inst)
+
+
+def test_graham_family_is_tight():
+    # up to m^n = 12^25 raw assignments, each solved in under 300 nodes
+    for m in range(2, 13):
+        inst = graham_family(m)
+        report = ratio_report(inst, "lpt-naive")
+        assert report.ratio == F(4, 3) - F(1, 3 * m), m
+        assert report.opt_value == F(3 * m)
+        assert brute_force_opt(inst).makespan == report.opt_value
 
 
 def test_brute_force_infeasible():
@@ -313,8 +354,8 @@ def test_ratio_report_restricted_example():
                       [(F(10), {1}), (F(10) + eps, {0, 1})])
     report = ratio_report(inst, "lpt-restricted", instance_id="4.3")
     assert report.ratio == F(20100, 10201)
-    assert report.opt_method == "brute-force"
     payload = json.loads(report.to_json_line())
+    assert payload["opt_method"] == "brute-force"
     assert payload["ratio"] == "20100/10201"
     assert payload["instance"] == "4.3"
 
@@ -328,14 +369,6 @@ def test_ratio_report_dwp_example():
 def test_ratio_report_single_machine():
     inst = usp([F(3)], [F(1), F(2)])
     assert ratio_report(inst, "lpt-fast").ratio == F(1)
-
-
-def test_ratio_report_lower_bound_fallback():
-    # large instance: falls back to the lower bound and still reports >= 1
-    inst = usp([F(j + 1) for j in range(12)], [F(5)] * 9)  # 12^9 > guard
-    report = ratio_report(inst, "lpt-fast")
-    assert report.opt_method == "lower-bound"
-    assert report.ratio >= 1
 
 
 def test_opt_with_a_common_denominator_past_float_range():
@@ -364,7 +397,6 @@ def test_ratio_report_value_pass_equals_brute_force():
             for spec in specs:
                 inst = generate(spec, Mode.RATIONAL)
                 report = ratio_report(inst, DEFAULT_ALGORITHM[family])
-                assert report.opt_method == "brute-force"
                 assert report.opt_value == brute_force_opt(inst).makespan
                 assert report.ratio == report.alg_makespan / report.opt_value
     q = 10 ** 40 + 3
