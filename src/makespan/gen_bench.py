@@ -343,11 +343,10 @@ def _sweep_chunk(args) -> SweepResult:
     for specs in _spec_blocks(family, seed, start, stop, n_max, m_max, eps, distinct_speeds):
         instances = [generate(spec, Mode.RATIONAL) for spec in specs]
         for spec, instance in zip(specs, instances):
-            instance_id = f"{family}-{spec.seed}"
             try:
-                ratio = ratio_report(instance, algorithm, instance_id=instance_id).ratio
+                ratio = ratio_report(instance, algorithm).ratio
             except SizeGuardError as exc:
-                raise SizeGuardError(f"instance {instance_id}: {exc}") from None
+                raise SizeGuardError(f"instance {family}-{spec.seed}: {exc}") from None
             bin_key = _hist_bin(ratio)
             histogram[bin_key] = histogram.get(bin_key, 0) + 1
             p, q = ratio.as_integer_ratio()

@@ -65,11 +65,11 @@ def round_r(x: Scalar) -> Scalar:
 
 
 def _fits(jobs, choices, lengths, twin, loads, caps, vec, budget) -> bool:
-    """Depth-first search: place jobs[k] on a machine of choices[k], for
-    k = 0, 1, ... in turn, keeping every load within its cap. True once all
-    jobs are placed, with vec[i] the machine of job i; loads is restored.
-    Each node spends one unit of budget[0], the work left; none left raises
-    SizeGuardError.
+    """Depth-first search on its own stack: place jobs[k] on a machine of
+    choices[k], for k = 0, 1, ... in turn, keeping every load within its
+    cap. True once all jobs are placed, with vec[i] the machine of job i and
+    loads their loads; False with loads restored. Each node spends one unit
+    of budget[0], the work left; none left raises SizeGuardError.
 
     Machine j is skipped while twin[j] < j carries the same load: swapping
     the two machines' later jobs maps one subtree onto the other. The spare
@@ -79,18 +79,19 @@ def _fits(jobs, choices, lengths, twin, loads, caps, vec, budget) -> bool:
     """
     last = len(jobs)
     shortest = min(map(lengths.__getitem__, jobs))
-    left = budget[0]
-
-    def place(k: int, spare: int) -> bool:
-        nonlocal left
-        left -= 1
-        if left < 0:
-            raise SizeGuardError(f"the exact search ran out of its {SEARCH_BUDGET} units")
-        if k == last:
-            return True
-        i = jobs[k]
-        l = lengths[i]
-        for j in choices[k]:
+    rooms = map(sub, caps, loads)
+    spare = sum(filter(shortest.__le__, rooms)) - sum(map(lengths.__getitem__, jobs))
+    if spare < 0:
+        return False
+    left = budget[0] - 1  # the root: no job placed
+    if left < 0:
+        raise SizeGuardError(f"the exact search ran out of its {SEARCH_BUDGET} units")
+    stack = []  # (job, length, spare room, machines yet to try) of each placed job
+    i = jobs[0]
+    l = lengths[i]
+    tries = iter(choices[0])
+    while True:
+        for j in tries:
             load = loads[j]
             room = caps[j] - load - l
             if room < 0 or twin[j] < j and loads[twin[j]] == load:
@@ -103,19 +104,25 @@ def _fits(jobs, choices, lengths, twin, loads, caps, vec, budget) -> bool:
                 continue
             loads[j] = load + l
             vec[i] = j
-            done = place(k + 1, rest)
-            loads[j] = load
-            if done:
+            left -= 1
+            if left < 0:
+                raise SizeGuardError(f"the exact search ran out of its {SEARCH_BUDGET} units")
+            stack.append((i, l, spare, tries))
+            k = len(stack)
+            if k == last:
+                budget[0] = left
                 return True
-        return False
-
-    rooms = map(sub, caps, loads)
-    spare = sum(filter(shortest.__le__, rooms)) - sum(map(lengths.__getitem__, jobs))
-    try:
-        return spare >= 0 and place(0, spare)
-    finally:
-        budget[0] = left
-        del place  # it refers to itself: break the cycle, leave no garbage
+            i = jobs[k]
+            l = lengths[i]
+            spare = rest
+            tries = iter(choices[k])
+            break
+        else:  # every machine tried: take back the last job placed
+            if not stack:
+                budget[0] = left
+                return False
+            i, l, spare, tries = stack.pop()
+            loads[vec[i]] -= l
 
 
 def brute_force_opt(instance: Instance) -> Schedule:
@@ -140,7 +147,7 @@ def brute_force_opt(instance: Instance) -> Schedule:
             free = [k for k in order if k > i]
             trial = vec.copy()
             if _fits([i] + free, [below] + [eligible[k] for k in free],
-                     lengths, twin, loads, caps, trial, budget):
+                     lengths, twin, loads.copy(), caps, trial, budget):
                 vec = trial
         loads[vec[i]] += l
     assignment = [[] for _ in range(instance.m)]
@@ -203,12 +210,10 @@ def optimum_value(instance: Instance, incumbent=None) -> tuple:
     while True:
         trial = vec.copy()
         caps = [(best - 1) // s for s in slopes]
-        if not _fits(order, choices, lengths, twin, [0] * m, caps, trial, budget):
+        loads = [0] * m
+        if not _fits(order, choices, lengths, twin, loads, caps, trial, budget):
             return best, vec, (eligible, twin, order, budget)
         vec = trial
-        loads = [0] * m
-        for i, j in enumerate(vec):
-            loads[j] += lengths[i]
         best = max(map(mul, loads, slopes))
 
 

@@ -180,6 +180,19 @@ def test_schedule_size_guard_exit_4(tmp_path):
     assert main(["schedule", "--algo", "opt", "--input", str(path)]) == 4
 
 
+@pytest.mark.parametrize("numeric", ["rational", "f64"])
+def test_schedule_opt_deep_search(tmp_path, capsys, numeric):
+    # 1005 jobs on 2 machines: the search goes deeper than Python's default
+    # recursion limit and still solves the instance
+    lines = ["USP 2 1005", "1", "1"] + ["3"] * 402 + ["2"] * 603
+    path = tmp_path / "deep.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["schedule", "--algo", "opt", "--numeric", numeric, "--input", str(path)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert float(payload["makespan"]) == 1206
+    assert payload["assignment"] == [list(range(402)), list(range(402, 1005))]
+
+
 def test_schedule_kind_mismatch_exit_2(dwp_file, capsys):
     assert main(["schedule", "--algo", "lpt-fast", "--input", dwp_file]) == 2
 

@@ -210,6 +210,21 @@ def test_search_budget_boundary(monkeypatch):
             solve(inst)
 
 
+def test_search_depth_is_not_bounded_by_recursion(monkeypatch):
+    # 2 identical machines; 402 jobs of length 3, then 603 of length 2: LPT
+    # gives 1207, the optimum 1206 leaves no spare room, and the search goes
+    # n = 1005 jobs deep, past Python's default recursion limit
+    inst = usp([F(1)] * 2, [F(3)] * 402 + [F(2)] * 603)
+    sched = brute_force_opt(inst)
+    assert sched.makespan == F(1206)
+    assert assignment_vector(sched, inst.n) == (0,) * 402 + (1,) * 603
+    assert ratio_report(inst, "lpt-naive").ratio == F(1207, 1206)
+    # a budget that runs out 500 jobs deep is refused as such
+    monkeypatch.setattr("makespan.oracle.SEARCH_BUDGET", 2 * 1005 + 500)
+    with pytest.raises(SizeGuardError):
+        brute_force_opt(inst)
+
+
 def test_graham_family_is_tight():
     # up to m^n = 12^25 raw assignments, each solved in under 300 nodes
     for m in range(2, 13):
