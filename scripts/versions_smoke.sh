@@ -9,11 +9,13 @@
 # optimal (seed 733), every scheduler and `opt`
 # in rational mode on hand-written instances with huge denominators, `opt`
 # in both modes on Graham's m = 8 instance (8^17 raw assignments, solved
-# within the search's work budget), and
-# `verify --count 50` on both uniform families, and with `--bound phi` on
-# uniform-dwp (seeds 50 to 99) and `--bound 4/3` on equal-speed. Every step
-# must exit 0; each step's stdout is kept in OUT_DIR, so two interpreters'
-# runs can be compared byte for byte.
+# within the search's work budget), `opt` in both modes on an instance
+# whose search runs out of that budget (2 identical machines, 8,002 jobs),
+# and `verify --count 50` on both uniform families, and with `--bound phi`
+# on uniform-dwp (seeds 50 to 99) and `--bound 4/3` on equal-speed. The
+# refused `opt` steps must exit 4 and every other step 0; each step's
+# stdout, and a refused step's stderr and exit status, is kept in OUT_DIR,
+# so two interpreters' runs can be compared byte for byte.
 #
 #   sh scripts/versions_smoke.sh OUT_DIR
 set -eu
@@ -24,6 +26,16 @@ cli() {
     name=$1
     shift
     python -m makespan.cli "$@" > "$out/$name"
+}
+
+# like cli, but the step must exit 4 (the exact search's budget ran out)
+refused() {
+    name=$1
+    shift
+    status=0
+    python -m makespan.cli "$@" > "$out/$name" 2>&1 || status=$?
+    echo "exit $status" >> "$out/$name"
+    [ "$status" -eq 4 ]
 }
 
 cli usp.txt gen --family uniform-usp --n 8 --m 3 --seed 1
@@ -87,6 +99,14 @@ cli dwp733-opt-f64.json schedule --algo opt --input "$out/dwp733.txt" --numeric 
 } > "$out/graham8.txt"
 for numeric in f64 rational; do
     cli "graham8-opt-$numeric.json" schedule --algo opt --input "$out/graham8.txt" \
+        --numeric "$numeric"
+done
+# 2 identical machines; lengths 2k - 3, then k twos, then one 3 (k = 8000):
+# the optimum 2k is found at once, but each of the vector pass's k tries
+# builds O(n) lists, so n units per try spend the budget
+{ echo "USP 2 8002"; printf '1\n1\n15997\n'; yes 2 | head -n 8000; echo 3; } > "$out/wide.txt"
+for numeric in f64 rational; do
+    refused "wide-opt-$numeric.txt" schedule --algo opt --input "$out/wide.txt" \
         --numeric "$numeric"
 done
 for family in uniform-usp uniform-dwp; do

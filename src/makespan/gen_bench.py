@@ -27,7 +27,7 @@ from typing import Optional
 from .errors import SizeGuardError, UsageError
 from .model import Instance, Kind
 from .numeric import Mode, scalar_to_str
-from .oracle import PHI, ratio_report
+from .oracle import PHI, ratio_le_phi, ratio_report
 from .scheduler import run_scheduler
 
 FAMILIES = (
@@ -246,12 +246,11 @@ def _hist_bin(ratio) -> str:
 
 def _exceeds(bound):
     """The test "ratio p/q (q > 0) exceeds bound" on integers: for "phi",
-    p >= 0 and p^2 > (p + q) q, the negation of ``oracle.le_phi``; never
-    for None."""
+    the negation of ``oracle.ratio_le_phi``; never for None."""
     if bound is None:
         return lambda p, q: False
     if bound == "phi":
-        return lambda p, q: p >= 0 and p * p > (p + q) * q
+        return lambda p, q: not ratio_le_phi(p, q)
     r, s = bound.as_integer_ratio()
     return lambda p, q: p * s > r * q
 

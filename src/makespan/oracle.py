@@ -9,7 +9,6 @@ rational-mode comparison.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,18 +23,22 @@ from .numeric import Scalar, scalar_to_str
 
 PHI = (1.0 + math.sqrt(5.0)) / 2.0
 
-#: Units of work one exact search may spend (m * n for its setup, then one
-#: per node) before it raises SizeGuardError: work, not time, so an outcome
-#: repeats exactly.
+#: Units of work one exact search may spend (m * n for its setup, then n
+#: per completion the vector pass tries, then one per node) before it raises
+#: SizeGuardError: work, not time, so an outcome repeats exactly.
 SEARCH_BUDGET = 10 ** 7
 
 
+def ratio_le_phi(p: int, q: int) -> bool:
+    """p/q <= phi for integers p and q > 0: p < 0 or p^2 <= (p + q) q, which
+    is x^2 <= x + 1 on integers."""
+    return p < 0 or p * p <= (p + q) * q
+
+
 def le_phi(x: Scalar) -> bool:
-    """x <= phi, exact for rationals: x = p/q (q > 0) passes iff p < 0 or
-    p^2 <= (p + q) q, which is x^2 <= x + 1 on integers."""
+    """x <= phi, exact for rationals (``ratio_le_phi``)."""
     if isinstance(x, Fraction):
-        p, q = x.numerator, x.denominator
-        return p < 0 or p * p <= (p + q) * q
+        return ratio_le_phi(x.numerator, x.denominator)
     return x <= PHI
 
 
@@ -134,7 +137,9 @@ def brute_force_opt(instance: Instance) -> Schedule:
     witness's machine, in id order, each checked by a longest-first
     completion search within the optimum. The first that passes, with its
     completion, becomes the new witness; if none does, job i keeps the
-    witness's machine. Both passes spend one ``SEARCH_BUDGET``."""
+    witness's machine. Both passes spend one ``SEARCH_BUDGET``: each
+    completion tried costs n units before its O(n) lists are built, so a
+    try that fails at its root still pays for them."""
     best, vec, (eligible, twin, order, budget) = optimum_value(instance)
     exact = instance.exact
     lengths = exact.lengths
@@ -143,6 +148,9 @@ def brute_force_opt(instance: Instance) -> Schedule:
     for i, l in enumerate(lengths):
         below = [j for j in eligible[i] if j < vec[i] and loads[j] + l <= caps[j]]
         if below:
+            budget[0] -= instance.n  # the completion's lists and witness copy are O(n)
+            if budget[0] < 0:
+                raise SizeGuardError(f"the exact search ran out of its {SEARCH_BUDGET} units")
             below.sort()
             free = [k for k in order if k > i]
             trial = vec.copy()
@@ -262,28 +270,15 @@ def makespan_lower_bound(instance: Instance) -> Scalar:
 class RatioReport:
     """One algorithm-vs-optimum comparison on a single instance."""
 
-    instance_id: str
-    algorithm: str
     alg_makespan: Scalar
     opt_value: Scalar
     ratio: Scalar
 
-    def to_json_line(self) -> str:
-        return json.dumps({
-            "instance": self.instance_id,
-            "algorithm": self.algorithm,
-            "alg_makespan": scalar_to_str(self.alg_makespan),
-            "opt_value": scalar_to_str(self.opt_value),
-            "ratio": scalar_to_str(self.ratio),
-            "ratio_float": float(self.ratio),
-            "opt_method": "brute-force",
-        })
 
-
-def ratio_report(instance: Instance, algorithm: str,
-                 instance_id: str = "") -> RatioReport:
-    """Run a scheduler and compare against the exact optimum; SizeGuardError
-    if the search runs out of ``SEARCH_BUDGET``. A rational optimum is the
+def ratio_report(instance: Instance, algorithm: str) -> RatioReport:
+    """Run a scheduler and compare its makespan against the exact optimum:
+    ``alg_makespan``, ``opt_value`` and their ``ratio``; SizeGuardError if
+    the search runs out of ``SEARCH_BUDGET``. A rational optimum is the
     value pass's finish value F over L * P, and the ratio the scheduler's
     finish value over F; the value pass starts below the run's own schedule,
     which it takes as its incumbent, so it checks no feasibility again and
@@ -306,10 +301,4 @@ def ratio_report(instance: Instance, algorithm: str,
         best, _, _ = optimum_value(instance, (vec, alg))
         opt = Fraction(best, scale)
         ratio = Fraction(alg, best)
-    return RatioReport(
-        instance_id=instance_id,
-        algorithm=algorithm,
-        alg_makespan=alg_span,
-        opt_value=opt,
-        ratio=ratio,
-    )
+    return RatioReport(alg_makespan=alg_span, opt_value=opt, ratio=ratio)

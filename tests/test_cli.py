@@ -360,13 +360,6 @@ def test_bench_fractional_sizes_exit_2(sizes, capsys):
     assert "finite integers" in capsys.readouterr().err
 
 
-def test_ratio_report_line_matches_schema():
-    from makespan import ratio_report
-    inst = parse_instance_text(DWP_EXAMPLE, Mode.RATIONAL)
-    line = ratio_report(inst, "dwp-lpt", instance_id="example").to_json_line()
-    validate_schema(json.loads(line), "ratio.schema.json")
-
-
 # -- console entry point -----------------------------------------------------------
 
 def test_console_script_help():

@@ -1,6 +1,5 @@
 import gc
 import itertools
-import json
 import math
 import random
 from fractions import Fraction as F
@@ -188,19 +187,28 @@ def graham_family(m):
 
 def test_search_budget_boundary(monkeypatch):
     """A search that takes N units of work is solved with a budget of N and
-    refused with N - 1: m * n units of setup, then one per search node."""
+    refused with N - 1: m * n units of setup, n for each completion the
+    vector pass tries, and one per search node."""
     def report(inst):
         return ratio_report(inst, "lpt-naive")
 
     graham, small = graham_family(12), usp([F(1), F(2)], [F(7), F(4), F(7), F(4)])
     assert brute_force_opt(small).assignment == ((0,), (1, 2, 3))
+    # 2 identical machines; lengths 997, then 500 twos, then one 3: every
+    # try of the vector pass fails at its root, yet builds O(n) lists
+    k = 500
+    wide = usp([F(1)] * 2, [F(2 * k - 3)] + [F(2)] * k + [F(3)])
     cases = (
         # m * n = 300, then 286 nodes, all in the value pass: its witness
         # leaves the vector pass no lower machine to try
         (graham, brute_force_opt, 586), (graham, report, 586),
-        # m * n = 8, then 5 nodes in the value pass and 5 in the vector pass
-        # (jobs 0 and 2, both of length 7, swap machines)
-        (small, brute_force_opt, 18), (small, report, 13),
+        # m * n = 8, then 5 nodes in the value pass, and one try in the
+        # vector pass: n = 4 units, then 5 nodes (jobs 0 and 2, both of
+        # length 7, swap machines)
+        (small, brute_force_opt, 22), (small, report, 13),
+        # m * n = 1,004, then 503 nodes in the value pass, then 500 tries in
+        # the vector pass, each n = 502 units and one node
+        (wide, brute_force_opt, 253_007),
     )
     for inst, solve, units in cases:
         monkeypatch.setattr("makespan.oracle.SEARCH_BUDGET", units)
@@ -367,12 +375,12 @@ def test_ratio_report_restricted_example():
     eps = F(1, 10)
     inst = restricted([F(10), F(10) + eps],
                       [(F(10), {1}), (F(10) + eps, {0, 1})])
-    report = ratio_report(inst, "lpt-restricted", instance_id="4.3")
+    report = ratio_report(inst, "lpt-restricted")
+    # LPT puts the longer job on the faster machine 1, where the shorter job
+    # must follow: 20.1 / 10.1; the optimum gives machine 0 the longer job
+    assert report.alg_makespan == F(201, 101)
+    assert report.opt_value == F(101, 100)
     assert report.ratio == F(20100, 10201)
-    payload = json.loads(report.to_json_line())
-    assert payload["opt_method"] == "brute-force"
-    assert payload["ratio"] == "20100/10201"
-    assert payload["instance"] == "4.3"
 
 
 def test_ratio_report_dwp_example():
@@ -453,8 +461,8 @@ def test_value_pass_from_any_valid_incumbent():
 
 @pytest.mark.parametrize("mode", [Mode.F64, Mode.RATIONAL])
 def test_searches_and_lpt_runs_leave_no_cyclic_garbage(mode):
-    # The search's recursive closure refers to itself; every search must
-    # break that cycle, or each leaves garbage only the cyclic collector frees.
+    # No search and no LPT run leaves cyclic garbage, which only the cyclic
+    # collector would free.
     runs = [(generate(GenSpec(family=family, n=8, m=3, seed=seed), mode), algorithm)
             for family, algorithm in (("uniform-usp", "lpt-fast"),
                                       ("uniform-dwp", "dwp-lpt"),
