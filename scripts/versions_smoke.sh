@@ -11,11 +11,13 @@
 # in both modes on Graham's m = 8 instance (8^17 raw assignments, solved
 # within the search's work budget), `opt` in both modes on an instance
 # whose search runs out of that budget (2 identical machines, 8,002 jobs),
-# and `verify --count 50` on both uniform families, and with `--bound phi`
-# on uniform-dwp (seeds 50 to 99) and `--bound 4/3` on equal-speed. The
-# refused `opt` steps must exit 4 and every other step 0; each step's
-# stdout, and a refused step's stderr and exit status, is kept in OUT_DIR,
-# so two interpreters' runs can be compared byte for byte.
+# lpt-naive and lpt-fast in both modes on an instance whose finish times
+# overflow f64 but not exact arithmetic, and `verify --count 50` on both
+# uniform families, and with `--bound phi` on uniform-dwp (seeds 50 to 99)
+# and `--bound 4/3` on equal-speed. The refused `opt` steps must exit 4,
+# the f64 overflow steps 2 and every other step 0; each step's stdout, and
+# a refused step's stderr and exit status, is kept in OUT_DIR, so two
+# interpreters' runs can be compared byte for byte.
 #
 #   sh scripts/versions_smoke.sh OUT_DIR
 set -eu
@@ -28,14 +30,15 @@ cli() {
     python -m makespan.cli "$@" > "$out/$name"
 }
 
-# like cli, but the step must exit 4 (the exact search's budget ran out)
+# like cli, but the step must exit with the status given after the name
 refused() {
     name=$1
-    shift
+    expected=$2
+    shift 2
     status=0
     python -m makespan.cli "$@" > "$out/$name" 2>&1 || status=$?
     echo "exit $status" >> "$out/$name"
-    [ "$status" -eq 4 ]
+    [ "$status" -eq "$expected" ]
 }
 
 cli usp.txt gen --family uniform-usp --n 8 --m 3 --seed 1
@@ -106,8 +109,17 @@ done
 # builds O(n) lists, so n units per try spend the budget
 { echo "USP 2 8002"; printf '1\n1\n15997\n'; yes 2 | head -n 8000; echo 3; } > "$out/wide.txt"
 for numeric in f64 rational; do
-    refused "wide-opt-$numeric.txt" schedule --algo opt --input "$out/wide.txt" \
+    refused "wide-opt-$numeric.txt" 4 schedule --algo opt --input "$out/wide.txt" \
         --numeric "$numeric"
+done
+# every job on the slowest machine finishes at 3e300 / 1e-300: past f64's
+# range (a usage error, exit 2), but exact in rational mode
+{ echo "USP 2 3"; printf '1e-300\n2e-300\n1e300\n1e300\n1e300\n'; } > "$out/overflow.txt"
+for algo in lpt-naive lpt-fast; do
+    refused "overflow-$algo-f64.txt" 2 schedule --algo "$algo" --input "$out/overflow.txt" \
+        --numeric f64
+    cli "overflow-$algo-rational.json" schedule --algo "$algo" --input "$out/overflow.txt" \
+        --numeric rational
 done
 for family in uniform-usp uniform-dwp; do
     cli "verify-$family.json" verify --family "$family" --count 50

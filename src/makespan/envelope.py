@@ -12,8 +12,11 @@ loads and the counter updates once.
 The structure is a kinetic tournament (Basch, Guibas & Hershberger, "Data
 structures for mobile data", J. Algorithms 31, 1999) over per-slope buckets:
 
-* each leaf holds the lines of one slope in a lazy heap on (intercept,
-  owner); only its minimum can win, so the leaf offers just that line;
+* each leaf holds the lines of one slope in a plain heap on (intercept,
+  owner), exactly the slope's stored lines: a delete removes its line on
+  the spot, at O(k) on a bucket of k lines. Only the minimum can win, and
+  every insert, delete and raise that changes a bucket sets its leaf to the
+  heap's top at once, so each leaf always offers its bucket's minimum;
 * each node of the tree is one (lo, winner) pair: the winner of its two
   children at the current query point x, and the least x at which that
   comparison and every comparison below it still hold. Two lines of
@@ -33,15 +36,14 @@ structures for mobile data", J. Algorithms 31, 1999) over per-slope buckets:
   by slope: each subtree covers a contiguous slope range, so as x falls its
   winner seldom changes away from the raised leaf's path;
 * at most one leaf is pending: its minimum changed (a delete or a raise of
-  its winner) and its path to the root is stale. The next query replays
+  its winner) and its path above it is stale. The next query replays
   that path at the query's own x, walking up from the leaf; a sibling whose
   lo exceeds x is repaired first, so no node on the path is replayed
   twice. With nothing pending a query replays only the nodes whose lo
   exceeds x. An insert batch replays, at the last query point, the
   union of the paths of the leaves whose minimum it lowered, each up to
   where it meets the pending path, and leaves the pending leaf pending. An
-  LPT step costs one path replay, and a raise refreshes its leaf's node from
-  the bucket at once, so the next step of the run starts from it;
+  LPT step costs one path replay;
 * when one leaf wins three queries in a row, the query caches the leaf's
   rival: the best line beside its path, with the lo from which it stays
   best. While that leaf is pending and no other leaf has changed, a query
@@ -61,7 +63,7 @@ On that pattern tests/test_envelope.py holds node replays per job under
 from __future__ import annotations
 
 import json
-from heapq import heapify, heappop, heappush, heapreplace
+from heapq import heapify, heappush, heapreplace
 from typing import NamedTuple
 
 from .errors import UsageError
@@ -82,11 +84,10 @@ class LowerEnvelope:
     """Dynamic lower envelope with owner-keyed insert/delete and min queries."""
 
     def __init__(self):
-        # A stored line is the entry (intercept, owner, slope, leaf); an
-        # entry in a leaf heap is live iff _where still holds that object.
+        # A stored line is the entry (intercept, owner, slope, leaf).
         self._where = {}         # owner -> entry
         self._leaf_of = {}       # slope -> leaf index
-        self._heaps = []         # leaf index -> lazy min-heap of entries
+        self._heaps = []         # leaf index -> min-heap of its stored entries
         self._x = 0              # the point every node off the pending path is valid at
         self._horizon = _POS_INF  # every node and the rival hold below it
         self._dirty = None       # pending leaf: its path is replayed by the next query
@@ -97,8 +98,8 @@ class LowerEnvelope:
         # Heap-ordered tree: node k has children 2k, 2k+1; leaf i is node
         # _cap + i, and nodes 1.._cap-1 are internal (any _cap >= 1 makes a
         # binary tree; _cap 0 is the tree without leaves). Each node is
-        # (lo, winning entry or None); a leaf's winner is its bucket
-        # minimum, or a deleted entry while it is pending, and its lo -inf.
+        # (lo, winning entry or None); a leaf's winner is its bucket's
+        # minimum, also while it is pending, and its lo -inf.
         self._cap = 0
         self._nodes = []
         self.counters = {
@@ -146,30 +147,33 @@ class LowerEnvelope:
             self._grow()
             return
         nodes, dirty = self._nodes, self._dirty
-        changed = []  # leaves whose minimum the batch lowered
+        changed = []  # leaves whose minimum the batch lowered, but the pending one
         for slope, icept, owner in lines:
             leaf = leaf_of[slope]
             entry = where[owner] = (icept, owner, slope, leaf)
             heappush(heaps[leaf], entry)
-            if leaf != dirty:
-                best = nodes[cap + leaf][1]
-                if best is None or entry < best:
+            best = nodes[cap + leaf][1]
+            if best is None or entry < best:
+                nodes[cap + leaf] = (_NEG_INF, entry)
+                if leaf != dirty:
                     changed.append(leaf)
         if changed:
             self._replay_paths(changed)
 
     def delete(self, owner: int) -> None:
-        """Remove the line with this owner id."""
+        """Remove the line with this owner id, in O(k) on a bucket of k lines."""
         entry = self._where.pop(owner, None)
         if entry is None:
             raise UsageError(f"no stored line with owner {owner}")
         self.counters["deletes"] += 1
         leaf = entry[3]
-        if self._nodes[self._cap + leaf][1] is not entry:
-            return  # not the bucket minimum (or the leaf is already pending)
         heap = self._heaps[leaf]
-        if heap[0] is entry:  # else a smaller line arrived while pending
-            heappop(heap)
+        heap.remove(entry)
+        heapify(heap)
+        node = self._cap + leaf
+        if self._nodes[node][1] is not entry:
+            return  # not the bucket minimum
+        self._nodes[node] = (_NEG_INF, heap[0] if heap else None)
         if self._dirty is None:
             self._dirty = leaf
         elif self._dirty != leaf:
@@ -198,8 +202,6 @@ class LowerEnvelope:
 
     def breakpoints(self):
         """Envelope pieces as (start_x, owner); the first start is None (-inf)."""
-        if self._dirty is not None:
-            self._refresh(self._dirty)
         chain = self._hull_chain()
         return [(None if i == 0 else _crossing(chain[i - 1], p), p[2])
                 for i, p in enumerate(chain)]
@@ -219,8 +221,7 @@ class LowerEnvelope:
         each winner to its value there; returns the lists (owners, values).
         The counts and the state but the horizon live in locals and are
         stored back once, also when a bad x stops the run, and around each
-        batch of ``admit`` that enters between two steps. A raise refreshes
-        its leaf's node at once, so no step of the run refreshes it."""
+        batch of ``admit`` that enters between two steps."""
         runs = _runs(xs, admit) if admit else ((None, xs),)
         where, heaps = self._where, self._heaps
         leaf, rival, streak, at = self._dirty, self._rival, self._streak, self._x
@@ -235,11 +236,10 @@ class LowerEnvelope:
                 if run and not where:
                     raise UsageError("query on an empty envelope")
                 nodes, cap = self._nodes, self._cap  # a batch may have grown the row
-                if leaf is not None:
-                    self._refresh(leaf)  # its bucket may have changed since the last step
                 for x in run:
-                    if not x >= 0:  # also rejects nan
-                        raise UsageError(f"query point must be >= 0, got {scalar_to_str(x)}")
+                    if not 0 <= x < _POS_INF:  # also rejects nan
+                        raise UsageError(f"query point must be finite and >= 0, "
+                                         f"got {scalar_to_str(x)}")
                     if x >= self._horizon:  # a steeper winner may have lost: replay all
                         self._rebuild(x)
                         leaf = rival = None
@@ -313,12 +313,8 @@ class LowerEnvelope:
                     if lift:
                         entry = where[owner] = (value, owner, slope, won)
                         heap = heaps[won]
-                        heapreplace(heap, entry)  # the live winner is its heap's top
-                        top = heap[0]
-                        while where.get(top[1]) is not top:  # drop deleted lines
-                            heappop(heap)
-                            top = heap[0]
-                        nodes[cap + won] = (_NEG_INF, top)
+                        heapreplace(heap, entry)  # the winner is its heap's top
+                        nodes[cap + won] = (_NEG_INF, heap[0])
                         leaf = won
                     owners.append(owner)
                     values.append(value)
@@ -336,10 +332,10 @@ class LowerEnvelope:
 
     def _grow(self) -> None:
         """Give every slope a leaf and replay every internal node at _x, in
-        one pass: each bucket is heapified and offers its live minimum, then
+        one pass: each bucket is heapified and offers its minimum, then
         ``_rebuild`` replays the nodes. A tree without leaves gets exactly
         one per slope; a full one doubles its leaf row until all fit."""
-        heaps, where = self._heaps, self._where
+        heaps = self._heaps
         leaves = len(heaps)
         cap = self._cap or leaves
         while cap < leaves:
@@ -347,8 +343,6 @@ class LowerEnvelope:
         nodes = [_EMPTY] * (2 * cap)
         for k, heap in enumerate(heaps, cap):
             heapify(heap)
-            while heap and where.get(heap[0][1]) is not heap[0]:  # drop deleted lines
-                heappop(heap)
             if heap:
                 nodes[k] = (_NEG_INF, heap[0])
         self._cap, self._nodes = cap, nodes
@@ -361,25 +355,13 @@ class LowerEnvelope:
         self._horizon = _POS_INF
         self._replay(range(self._cap - 1, 0, -1))
 
-    def _refresh(self, leaf: int) -> None:
-        """Drop deleted entries from the top of the leaf's heap and offer
-        its minimum."""
-        heap, where, nodes = self._heaps[leaf], self._where, self._nodes
-        node = self._cap + leaf
-        if heap and nodes[node][1] is heap[0]:
-            return  # refreshed since the last change
-        while heap and where.get(heap[0][1]) is not heap[0]:
-            heappop(heap)
-        nodes[node] = (_NEG_INF, heap[0] if heap else None)
-
     def _replay_paths(self, leaves) -> None:
-        """Refresh these leaves, none of them pending, and replay their paths
-        at _x up to the lowest node each shares with the pending leaf's path:
-        the next query replays that path, at its own point."""
+        """Replay the paths of these leaves, none of them pending, at _x up
+        to the lowest node each shares with the pending leaf's path: the
+        next query replays that path, at its own point."""
         cap, dirty = self._cap, self._dirty
         order = []
         for leaf in leaves:
-            self._refresh(leaf)
             if self._rival is not None and self._rival[0] != leaf:
                 self._rival = None
             k = cap + leaf
@@ -472,15 +454,19 @@ class LowerEnvelope:
         return chain
 
     def check_invariants(self) -> None:
-        """Check every leaf against its bucket, and every node against the
-        minimum over its subtree's leaves at _x (by value, so exact only in
-        rational mode), its children's lo and the horizon, which must lie
-        above _x and no stored steeper winner's crossing. The pending path is
-        skipped until the next query replays it. Test hook, not hot path."""
+        """Check that each bucket heap holds exactly its stored lines, every
+        leaf (the pending one too) against its bucket, and every node against
+        the minimum over its subtree's leaves at _x (by value, so exact only
+        in rational mode), its children's lo and the horizon, which must lie
+        above _x and no stored steeper winner's crossing. The pending leaf's
+        path above it is skipped until the next query replays it. Test hook,
+        not hot path."""
         cap, x, nodes, horizon = self._cap, self._x, self._nodes, self._horizon
         assert len(nodes) == 2 * cap and len(self._heaps) <= cap
-        stale = set()  # the pending leaf and its ancestors
-        k = cap + self._dirty if self._dirty is not None else 0
+        assert sorted(e for heap in self._heaps for e in heap) == sorted(self._where.values())
+        assert all(e[3] == i for i, heap in enumerate(self._heaps) for e in heap)
+        stale = set()  # the pending leaf's ancestors
+        k = (cap + self._dirty) >> 1 if self._dirty is not None else 0
         while k:
             stale.add(k)
             k >>= 1

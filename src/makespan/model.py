@@ -43,7 +43,8 @@ def _check_scalars(values: tuple, scalar: type, what: str, optional: bool = Fals
     if types == {scalar}:
         if scalar is float:
             # a nan or an inf makes the sum nan or inf; an overflowing sum of
-            # finite values only sends the block to the scan, which accepts it
+            # finite values sends the block to the scan, which accepts it, and
+            # Instance rejects lengths whose sum overflows
             if 0 < min(values) and sum(values) < inf:
                 return
         elif min(map(attrgetter("numerator"), values)) > 0:  # a Fraction is finite
@@ -94,11 +95,21 @@ class Instance:
             raise UsageError("instance needs at least one machine")
         if not self.lengths:
             raise UsageError("instance needs at least one job")
+        m = len(self.speeds)
+        if len(self.batteries) != m:
+            raise UsageError(f"instance needs one battery per machine, got "
+                             f"{len(self.batteries)} for {m} machines")
+        if self.kind is not Kind.DWP and self.batteries.count(None) != m:
+            raise UsageError(f"only DWP instances have batteries, not {self.kind.value}")
         # one numeric mode throughout: the one of the first speed
         scalar = Fraction if isinstance(self.speeds[0], Fraction) else float
         _check_scalars(self.speeds, scalar, "machine {}: speed")
         _check_scalars(self.batteries, scalar, "machine {}: battery", optional=True)
         _check_scalars(self.lengths, scalar, "job {}: length")
+        # no finish time exceeds that of every job on the slowest machine
+        if scalar is float and not sum(self.lengths) / min(self.speeds) < math.inf:
+            raise UsageError("finish times overflow f64: the sum of the lengths "
+                             "over the least speed is not finite")
         if self.kind is Kind.RESTRICTED:
             if self.eligibility is None or len(self.eligibility) != len(self.lengths):
                 raise UsageError("RESTRICTED instance needs one eligibility set per job")

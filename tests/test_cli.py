@@ -205,15 +205,30 @@ def test_schedule_float_mode(dwp_file, capsys):
     assert float(payload["makespan"]) == 6.0
 
 
-@pytest.mark.parametrize("length", ["inf", "1e400"])
-@pytest.mark.parametrize("algo", ["lpt-fast", "lpt-naive"])
-def test_schedule_non_finite_f64_exit_2(tmp_path, capsys, algo, length):
+# A length f64 cannot hold is a parse error; finite values whose finish
+# times overflow (all jobs on the slowest machine: 3e300 / 1e-300) are a
+# usage error.
+NON_FINITE_F64 = {
+    "inf": ("USP 1 2\n1\ninf\n1\n", "parse error: "),
+    "1e400": ("USP 1 2\n1\n1e400\n1\n", "parse error: "),
+    "overflow": ("USP 2 3\n1e-300\n2e-300\n1e300\n1e300\n1e300\n",
+                 "error: finish times overflow"),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE_F64))
+@pytest.mark.parametrize("algo", ["lpt-fast", "lpt-naive", "opt"])
+def test_schedule_non_finite_f64_exit_2(tmp_path, capsys, algo, case):
+    text, message = NON_FINITE_F64[case]
     path = tmp_path / "huge.txt"
-    path.write_text(f"USP 1 2\n1\n{length}\n1\n", encoding="utf-8")
+    path.write_text(text, encoding="utf-8")
     code = main(["schedule", "--algo", algo, "--input", str(path), "--numeric", "f64"])
     assert code == 2
     captured = capsys.readouterr()
-    assert "parse error" in captured.err and captured.out == ""
+    assert captured.err.startswith(message) and captured.out == ""
+    if case == "overflow":  # exact arithmetic has no overflow
+        assert main(["schedule", "--algo", algo, "--input", str(path),
+                     "--numeric", "rational"]) == 0
 
 
 # -- gen -----------------------------------------------------------------------

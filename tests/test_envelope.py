@@ -103,6 +103,16 @@ def test_negative_query_rejected():
     env.insert(Line(F(1), F(0), 0))
     with pytest.raises(UsageError):
         env.query_min(F(-1))
+    # +inf is no query point either: 0 * inf would make a value nan
+    env = LowerEnvelope()
+    env.insert(Line(0.0, 1.0, 0), Line(1.0, 0.0, 1))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(UsageError, match="finite and >= 0"):
+            env.query_min(bad)
+        with pytest.raises(UsageError, match="finite and >= 0"):
+            env.raise_each([bad])
+    assert sorted(env.lines()) == [Line(0.0, 1.0, 0), Line(1.0, 0.0, 1)]
+    env.check_invariants()
 
 
 def test_identical_lines_tie_on_owner():
@@ -121,6 +131,23 @@ def test_parallel_shadowed_line_restored_on_delete():
     env.delete(0)
     assert env.query_min(F(2)) == (1, F(7))
     env.check_invariants()
+
+
+def test_delete_leaves_only_stored_lines_in_the_buckets():
+    # a delete removes its line from the bucket at once, also when the line
+    # is not the bucket's minimum, so no bucket keeps a deleted line
+    env = LowerEnvelope()
+    env.insert(*(Line(F(k % 3), F(k), k) for k in range(12)))
+    assert env.query_min(F(2)) == (0, F(0))
+    for owner in (9, 4, 11, 5):  # none of them its bucket's minimum
+        env.delete(owner)
+        assert sum(map(len, env._heaps)) == len(env)
+        env.check_invariants()
+    raise_one(env, F(1))  # the pending leaf's bucket loses a line that is not its top
+    env.delete(6)
+    assert sum(map(len, env._heaps)) == len(env) == 7
+    env.check_invariants()
+    assert env.query_min(F(1)) == linear_scan_min(env, F(1))
 
 
 def test_delete_then_reinsert_restores_prior_state():

@@ -135,6 +135,14 @@ def test_instance_validation_errors():
         restricted([F(1)], [(F(1), {3})])  # unknown machine id
     with pytest.raises(UsageError):
         dwp([(F(1), F(0))], [F(1)])  # battery must be positive
+    # one battery per machine, and batteries only on DWP instances
+    for kind, batteries in ((Kind.USP, (F(1), None)), (Kind.USP, (None,)),
+                            (Kind.USP, (None,) * 3), (Kind.RESTRICTED, (None, F(1))),
+                            (Kind.DWP, (F(1),)), (Kind.DWP, (F(1), F(1), None))):
+        eligibility = (frozenset({0}),) * 2 if kind is Kind.RESTRICTED else None
+        with pytest.raises(UsageError, match="battery|batteries"):
+            Instance(kind=kind, speeds=(F(2), F(1)), batteries=batteries,
+                     lengths=(F(5), F(4)), eligibility=eligibility)
 
 
 def test_instance_rejects_non_finite_floats():
@@ -145,6 +153,13 @@ def test_instance_rejects_non_finite_floats():
             usp([1.0], [bad])
         with pytest.raises(UsageError):
             dwp([(1.0, bad)], [1.0])
+    # finite values whose finish times overflow: every job on the slowest
+    # machine must finish at a finite time
+    for speeds, lengths in (([1e-300, 2e-300], [1e300] * 3), ([1.0], [1e308] * 2)):
+        with pytest.raises(UsageError, match="overflow"):
+            usp(speeds, lengths)
+    assert usp([1.0], [1e308]).lengths == (1e308,)
+    assert usp([F(1, 10**300)], [F(10**300)] * 3).n == 3  # Fractions never overflow
 
 
 def test_instance_rejects_mixed_modes():
