@@ -17,13 +17,19 @@ structures for mobile data", J. Algorithms 31, 1999) over per-slope buckets:
   the spot, at O(k) on a bucket of k lines. Only the minimum can win, and
   every insert, delete and raise that changes a bucket sets its leaf to the
   heap's top at once, so each leaf always offers its bucket's minimum;
-* each node of the tree is one (lo, winner) pair: the winner of its two
-  children at the current query point x, and the least x at which that
-  comparison and every comparison below it still hold. Two lines of
-  different slopes cross once: the steeper one wins iff x is left of the
-  crossing (at equal value the lesser slope wins). A win of the flatter
-  line raises lo to the crossing; a win of the steeper one lowers the
-  envelope's one horizon to it. Every node holds for lo <= x < horizon;
+* each node k of the tree has a winner, wins[k], the winner of its two
+  children at the current query point x, and a lo, los[k], the least x at
+  which that comparison and every comparison below it still hold: two flat
+  lists, so writing a node builds no tuple. Two lines of different slopes
+  cross once: the steeper one wins iff x is left of the crossing (at equal
+  value the lesser slope wins). A win of the flatter line raises lo to the
+  crossing; a win of the steeper one lowers the envelope's one horizon to
+  it. Every node holds for lo <= x < horizon;
+* the tree is in the heap layout, and a node's parent, sibling, depth and
+  children are read from index tables, not computed: k >> 1 or k ^ 1
+  allocates a new int above 256, a list read does not. The tables are
+  shared by every envelope in the process and grow by doubling to the
+  largest row seen, so a small envelope pays nothing for them;
 * the leaf row is sized once per batch: the first batch gets exactly one
   leaf per slope, and a later batch that brings more slopes than the row
   holds doubles it until they fit. Growing is one pass: the batch's lines
@@ -63,6 +69,7 @@ On that pattern tests/test_envelope.py holds node replays per job under
 from __future__ import annotations
 
 import json
+import threading
 from heapq import heapify, heappush, heapreplace
 from typing import NamedTuple
 
@@ -71,7 +78,34 @@ from .numeric import Scalar, scalar_to_str
 
 _NEG_INF = float("-inf")
 _POS_INF = float("inf")
-_EMPTY = (_NEG_INF, None)  # a node without lines, valid everywhere
+
+# Index tables of the heap-ordered tree, for node ids below their length:
+# node k's parent k >> 1, sibling k ^ 1 and depth floor(log2 k), and for k
+# below half the length its children 2k and 2k + 1. Every envelope shares
+# them; ``_index_tables`` grows them in place, so a list bound to a local
+# stays valid.
+_PARENT, _SIBLING, _DEPTH, _LEFT, _RIGHT = [], [], [], [], []
+_TABLES_GROW = threading.Lock()
+
+
+def _index_tables(size: int) -> None:
+    """Grow the index tables, by doubling, to cover node ids below size."""
+    if len(_PARENT) >= size:
+        return
+    with _TABLES_GROW:
+        have = len(_PARENT)
+        want = max(have, 2)
+        while want < size:
+            want *= 2
+        if want == have:
+            return
+        ids = list(range(want))  # one int object per id, shared by the tables
+        new = range(have, want)
+        _PARENT.extend([ids[k >> 1] for k in new])
+        _SIBLING.extend([ids[k ^ 1] for k in new])
+        _DEPTH.extend([k.bit_length() - 1 for k in new])
+        _LEFT.extend(ids[have:want:2])
+        _RIGHT.extend(ids[have + 1:want:2])
 
 
 class Line(NamedTuple):
@@ -97,11 +131,13 @@ class LowerEnvelope:
         self._streak = 0         # queries in a row won by the pending leaf
         # Heap-ordered tree: node k has children 2k, 2k+1; leaf i is node
         # _cap + i, and nodes 1.._cap-1 are internal (any _cap >= 1 makes a
-        # binary tree; _cap 0 is the tree without leaves). Each node is
-        # (lo, winning entry or None); a leaf's winner is its bucket's
-        # minimum, also while it is pending, and its lo -inf.
+        # binary tree; _cap 0 is the tree without leaves). Node k's lo is
+        # _lo[k] and its winning entry (or None) _win[k]; a leaf's winner is
+        # its bucket's minimum, also while it is pending, and its lo -inf.
+        # The module's index tables cover every node id below 2 * _cap.
         self._cap = 0
-        self._nodes = []
+        self._lo = []
+        self._win = []
         self.counters = {
             "inserts": 0, "deletes": 0, "queries": 0,
             "comparisons": 0, "replays": 0,
@@ -146,15 +182,15 @@ class LowerEnvelope:
                 heaps[leaf].append(entry)
             self._grow()
             return
-        nodes, dirty = self._nodes, self._dirty
+        wins, dirty = self._win, self._dirty
         changed = []  # leaves whose minimum the batch lowered, but the pending one
         for slope, icept, owner in lines:
             leaf = leaf_of[slope]
             entry = where[owner] = (icept, owner, slope, leaf)
             heappush(heaps[leaf], entry)
-            best = nodes[cap + leaf][1]
+            best = wins[cap + leaf]
             if best is None or entry < best:
-                nodes[cap + leaf] = (_NEG_INF, entry)
+                wins[cap + leaf] = entry
                 if leaf != dirty:
                     changed.append(leaf)
         if changed:
@@ -171,9 +207,9 @@ class LowerEnvelope:
         heap.remove(entry)
         heapify(heap)
         node = self._cap + leaf
-        if self._nodes[node][1] is not entry:
+        if self._win[node] is not entry:
             return  # not the bucket minimum
-        self._nodes[node] = (_NEG_INF, heap[0] if heap else None)
+        self._win[node] = heap[0] if heap else None
         if self._dirty is None:
             self._dirty = leaf
         elif self._dirty != leaf:
@@ -219,66 +255,84 @@ class LowerEnvelope:
     def _steps(self, xs, lift, admit=()):
         """Query at each x of the sequence xs in turn and, with lift, raise
         each winner to its value there; returns the lists (owners, values).
-        The counts and the state but the horizon live in locals and are
-        stored back once, also when a bad x stops the run, and around each
-        batch of ``admit`` that enters between two steps."""
+        The counts and the state live in locals and are stored back once,
+        also when a bad x stops the run; the horizon and the point are also
+        stored around each call that reads them (``_repair``, ``_find_rival``,
+        ``_rebuild`` and ``insert``, for a batch of ``admit`` that enters
+        between two steps)."""
         runs = _runs(xs, admit) if admit else ((None, xs),)
         where, heaps = self._where, self._heaps
-        leaf, rival, streak, at = self._dirty, self._rival, self._streak, self._x
+        parent, sibling, depth = _PARENT, _SIBLING, _DEPTH
+        leaf, rival, streak = self._dirty, self._rival, self._streak
+        at, horizon = self._x, self._horizon
         owners, values = [], []
         replays = comparisons = 0
         try:
             for lines, run in runs:
                 if lines is not None:  # a batch enters between two steps
-                    self._dirty, self._rival, self._streak, self._x = leaf, rival, streak, at
+                    self._dirty, self._rival, self._streak = leaf, rival, streak
+                    self._x, self._horizon = at, horizon
                     self.insert(*lines)
-                    leaf, rival, streak, at = self._dirty, self._rival, self._streak, self._x
+                    leaf, rival, streak = self._dirty, self._rival, self._streak
+                    at, horizon = self._x, self._horizon
                 if run and not where:
                     raise UsageError("query on an empty envelope")
-                nodes, cap = self._nodes, self._cap  # a batch may have grown the row
+                los, wins, cap = self._lo, self._win, self._cap  # the row may have grown
                 for x in run:
                     if not 0 <= x < _POS_INF:  # also rejects nan
                         raise UsageError(f"query point must be finite and >= 0, "
                                          f"got {scalar_to_str(x)}")
-                    if x >= self._horizon:  # a steeper winner may have lost: replay all
+                    if x >= horizon:  # a steeper winner may have lost: replay all
                         self._rebuild(x)
                         leaf = rival = None
+                        horizon = self._horizon
                     if leaf is None:
                         at, streak = x, 0
-                        if nodes[1][0] > x:
-                            self._x = x
+                        if los[1] > x:
+                            self._x, self._horizon = x, horizon
                             self._repair(1)
-                        best = nodes[1][1]
+                            horizon = self._horizon
+                        best = wins[1]
                     else:
                         k = cap + leaf
-                        best = nodes[k][1]
-                        if rival is not None and rival[0] != leaf:
-                            rival = None  # another leaf's rival: this leaf's change voids it
+                        best = wins[k]
                         # LPT often picks the same slope again: if the leaf's
                         # new minimum beats its rival, no path is replayed.
-                        hit = rival is not None and best is not None and rival[2] <= x
-                        if hit and rival[1] is not None:
-                            comparisons += 1
-                            hit = _decide(best, rival[1], x, _NEG_INF, _POS_INF)[0] is best
+                        hit = False
+                        if rival is not None:
+                            if rival[0] != leaf:
+                                rival = None  # another leaf's rival: this leaf's change voids it
+                            elif best is not None and rival[2] <= x:
+                                b = rival[1]
+                                if b is None:
+                                    hit = True
+                                else:  # _decide, inline: best wins below the crossing iff steeper
+                                    comparisons += 1
+                                    slope, bslope = best[2], b[2]
+                                    hit = (x < (b[0] - best[0]) / (slope - bslope)) == (slope > bslope)
                         if not hit:
                             # Replay the pending path at x from the leaf up, carrying
                             # the winner a (no two leaves share a slope, so which
                             # child is which changes no result). A sibling holds at
                             # the old point; if its lo exceeds x, it is repaired.
-                            at = self._x = x
-                            depth = k.bit_length() - 1  # the path's comparisons, less empty sides
-                            replays, comparisons = replays + depth, comparisons + depth
+                            at = x
+                            d = depth[k]  # the path's comparisons, less empty sides
+                            replays, comparisons = replays + d, comparisons + d
                             a, lo, hi = best, _NEG_INF, _POS_INF
                             if a is not None:
                                 icept, slope = a[0], a[2]
                             while k > 1:
-                                slo, b = nodes[k ^ 1]
+                                s = sibling[k]
+                                slo = los[s]
                                 if slo > lo:
                                     if slo > x:
-                                        self._repair(k ^ 1)
+                                        self._x, self._horizon = x, horizon
+                                        self._repair(s)
+                                        horizon = self._horizon
                                         continue
                                     lo = slo
-                                k >>= 1
+                                b = wins[s]
+                                k = parent[k]
                                 if a is None or b is None:  # nothing to compare
                                     comparisons -= 1
                                     if b is not None:
@@ -296,9 +350,10 @@ class LowerEnvelope:
                                             lo = cross
                                         if bslope < slope:
                                             a, icept, slope = b, b[0], bslope
-                                nodes[k] = (lo, a)
-                            if hi < self._horizon:
-                                self._horizon = hi
+                                los[k] = lo
+                                wins[k] = a
+                            if hi < horizon:
+                                horizon = hi
                             if a[3] != leaf:
                                 streak = 0
                             else:
@@ -306,7 +361,9 @@ class LowerEnvelope:
                                 # not repay the cost of finding the rival.
                                 streak += 1
                                 if streak >= 2:
+                                    self._horizon = horizon
                                     rival = self._find_rival(leaf, x)
+                                    horizon = self._horizon
                             leaf, best = None, a
                     icept, owner, slope, won = best
                     value = slope * x + icept
@@ -314,12 +371,13 @@ class LowerEnvelope:
                         entry = where[owner] = (value, owner, slope, won)
                         heap = heaps[won]
                         heapreplace(heap, entry)  # the winner is its heap's top
-                        nodes[cap + won] = (_NEG_INF, heap[0])
+                        wins[cap + won] = heap[0]
                         leaf = won
                     owners.append(owner)
                     values.append(value)
         finally:
-            self._dirty, self._rival, self._streak, self._x = leaf, rival, streak, at
+            self._dirty, self._rival, self._streak = leaf, rival, streak
+            self._x, self._horizon = at, horizon
             counters = self.counters
             steps = len(owners)
             counters["queries"] += steps
@@ -340,12 +398,13 @@ class LowerEnvelope:
         cap = self._cap or leaves
         while cap < leaves:
             cap *= 2
-        nodes = [_EMPTY] * (2 * cap)
+        _index_tables(2 * cap)
+        wins = [None] * (2 * cap)
         for k, heap in enumerate(heaps, cap):
             heapify(heap)
             if heap:
-                nodes[k] = (_NEG_INF, heap[0])
-        self._cap, self._nodes = cap, nodes
+                wins[k] = heap[0]
+        self._cap, self._lo, self._win = cap, [_NEG_INF] * (2 * cap), wins
         self._rebuild(self._x)
 
     def _rebuild(self, x) -> None:
@@ -359,17 +418,17 @@ class LowerEnvelope:
         """Replay the paths of these leaves, none of them pending, at _x up
         to the lowest node each shares with the pending leaf's path: the
         next query replays that path, at its own point."""
-        cap, dirty = self._cap, self._dirty
+        cap, dirty, parent = self._cap, self._dirty, _PARENT
         order = []
         for leaf in leaves:
             if self._rival is not None and self._rival[0] != leaf:
                 self._rival = None
             k = cap + leaf
             meet = 0 if dirty is None else _common_ancestor(k, cap + dirty)
-            k >>= 1
+            k = parent[k]
             while k != meet:
                 order.append(k)
-                k >>= 1
+                k = parent[k]
         if len(leaves) > 1:
             order = sorted(set(order), reverse=True)  # children before parents
         self._replay(order)
@@ -377,32 +436,33 @@ class LowerEnvelope:
     def _repair(self, top: int) -> None:
         """Replay every node under top (top included) whose lo exceeds _x; a
         node whose lo does not vouches for its subtree."""
-        nodes, x = self._nodes, self._x
+        los, x, left, right = self._lo, self._x, _LEFT, _RIGHT
         failed, stack = [], [top]
         while stack:
             k = stack.pop()
-            if nodes[k][0] > x:  # leaves never fail
+            if los[k] > x:  # leaves never fail
                 failed.append(k)
-                stack.append(2 * k)
-                stack.append(2 * k + 1)
+                stack.append(left[k])
+                stack.append(right[k])
         failed.reverse()  # children before parents
         self._replay(failed)
 
     def _find_rival(self, leaf: int, x):
         """The leaf's rival and its lo: the winners beside its path folded at
         x, where every node is valid; a steeper line's win lowers the horizon."""
-        nodes, horizon = self._nodes, self._horizon
+        los, wins, horizon = self._lo, self._win, self._horizon
         rival, rlo, comparisons = None, _NEG_INF, 0
         node = self._cap + leaf
         while node > 1:
-            slo, line = nodes[node ^ 1]
+            s = _SIBLING[node]
+            slo, line = los[s], wins[s]
             rlo = max(rlo, slo)
             if rival is None:
                 rival = line
             elif line is not None:
                 comparisons += 1
                 rival, rlo, horizon = _decide(rival, line, x, rlo, horizon)
-            node >>= 1
+            node = _PARENT[node]
         self._horizon = horizon
         self.counters["comparisons"] += comparisons
         return leaf, rival, rlo
@@ -410,11 +470,12 @@ class LowerEnvelope:
     def _replay(self, order) -> None:
         """Recompute each node from its children at the current x, in order.
         A node's lo is its own comparison's, raised to both children's."""
-        nodes, x, horizon = self._nodes, self._x, self._horizon
+        los, wins, x, horizon = self._lo, self._win, self._x, self._horizon
+        left, right = _LEFT, _RIGHT
         comparisons = 0
         for k in order:
-            klo, a = nodes[2 * k]
-            other, b = nodes[2 * k + 1]
+            l, r = left[k], right[k]
+            klo, other, a, b = los[l], los[r], wins[l], wins[r]
             if other > klo:
                 klo = other
             if a is None:
@@ -433,7 +494,8 @@ class LowerEnvelope:
                         klo = cross
                     if bslope < slope:
                         a = b
-            nodes[k] = (klo, a)
+            los[k] = klo
+            wins[k] = a
         self._horizon = horizon
         counters = self.counters
         counters["replays"] += len(order)
@@ -444,7 +506,7 @@ class LowerEnvelope:
     def _hull_chain(self) -> list:
         """Bucket minima on the envelope, steepest first (Graham chain over
         the strict lower hull of the dual points)."""
-        pts = sorted((Line(e[2], e[0], e[1]) for _, e in self._nodes[self._cap:]
+        pts = sorted((Line(e[2], e[0], e[1]) for e in self._win[self._cap:]
                       if e is not None), reverse=True)  # distinct slopes
         chain = []
         for p in pts:
@@ -460,10 +522,16 @@ class LowerEnvelope:
         in rational mode), its children's lo and the horizon, which must lie
         above _x and no stored steeper winner's crossing. The pending leaf's
         path above it is skipped until the next query replays it. Test hook,
-        not hot path."""
-        cap, x, nodes, horizon = self._cap, self._x, self._nodes, self._horizon
-        assert len(nodes) == 2 * cap and len(self._heaps) <= cap
-        assert sorted(e for heap in self._heaps for e in heap) == sorted(self._where.values())
+        not hot path. The index tables must give every node below 2 * _cap
+        its parent, sibling, depth and children."""
+        cap, x, los, wins, horizon = self._cap, self._x, self._lo, self._win, self._horizon
+        assert len(los) == len(wins) == 2 * cap and len(self._heaps) <= cap
+        assert all(_PARENT[k] == k >> 1 and _SIBLING[k] == k ^ 1
+                   and _DEPTH[k] == k.bit_length() - 1 for k in range(2 * cap))
+        assert all(_LEFT[k] == 2 * k and _RIGHT[k] == 2 * k + 1 for k in range(cap))
+        stored = {e[1]: e for heap in self._heaps for e in heap}
+        assert len(stored) == sum(map(len, self._heaps)) == len(self._where)
+        assert all(self._where.get(owner) is e for owner, e in stored.items())
         assert all(e[3] == i for i, heap in enumerate(self._heaps) for e in heap)
         stale = set()  # the pending leaf's ancestors
         k = (cap + self._dirty) >> 1 if self._dirty is not None else 0
@@ -480,7 +548,7 @@ class LowerEnvelope:
             return e[2] * x + e[0], e[2]
 
         def checked_winner(k):
-            lo, got = nodes[k]
+            lo, got = los[k], wins[k]
             if k >= cap:
                 want = buckets.get(k - cap)
             else:
@@ -488,7 +556,7 @@ class LowerEnvelope:
                 want = min((e for e in (a, b) if e is not None), key=value, default=None)
                 if k not in stale:
                     assert lo <= x < horizon, f"node {k} certificate excludes x"
-                    assert nodes[2 * k][0] <= lo >= nodes[2 * k + 1][0], f"node {k} outgrows a child"
+                    assert los[2 * k] <= lo >= los[2 * k + 1], f"node {k} outgrows a child"
                     if a is not None and b is not None:
                         _, cut, hi = _decide(a, b, x, _NEG_INF, _POS_INF)
                         assert cut <= lo and horizon <= hi, f"node {k} outlives its crossing"
@@ -508,7 +576,8 @@ def _decide(a, b, x, lo, hi):
     their crossing if the flatter line wins (from there on), or hi lowered
     to it if the steeper one wins (left of it): at equal value the lesser
     slope wins. Either order of a and b gives the same crossing. The walk in
-    ``_steps`` and the loop in ``_replay`` inline it: change all three alike."""
+    ``_steps``, its rival check and the loop in ``_replay`` inline it:
+    change all four alike."""
     cross = (b[0] - a[0]) / (a[2] - b[2])
     if x < cross:
         return a if a[2] > b[2] else b, lo, cross if cross < hi else hi

@@ -106,10 +106,6 @@ class Instance:
         _check_scalars(self.speeds, scalar, "machine {}: speed")
         _check_scalars(self.batteries, scalar, "machine {}: battery", optional=True)
         _check_scalars(self.lengths, scalar, "job {}: length")
-        # no finish time exceeds that of every job on the slowest machine
-        if scalar is float and not sum(self.lengths) / min(self.speeds) < math.inf:
-            raise UsageError("finish times overflow f64: the sum of the lengths "
-                             "over the least speed is not finite")
         if self.kind is Kind.RESTRICTED:
             if self.eligibility is None or len(self.eligibility) != len(self.lengths):
                 raise UsageError("RESTRICTED instance needs one eligibility set per job")
@@ -121,6 +117,37 @@ class Instance:
                     raise UsageError(f"job {i}: unknown machine ids {sorted(bad)}")
         elif self.eligibility is not None:
             raise UsageError("eligibility sets are only valid for RESTRICTED instances")
+        # fast path: every job on the slowest machine finishes in f64
+        if scalar is float and not sum(self.lengths) / min(self.speeds) < math.inf:
+            self._check_finish_times()
+
+    def _check_finish_times(self) -> None:
+        """Raise UsageError unless the lengths sum to a finite value and so,
+        over its speed, do the lengths each machine can take: no finish time,
+        load or bound then overflows f64. O(n log n + m log m) for DWP, one
+        sweep over the sorted batteries; O(sum of |E_i|) for RESTRICTED."""
+        lengths, m = self.lengths, self.m
+        total = sum(lengths)
+        if not total < math.inf:
+            raise UsageError("finish times overflow f64: the sum of the lengths "
+                             "is not finite")
+        # the sum of the lengths each machine can take
+        takes = [0.0 if self.kind is Kind.RESTRICTED else total] * m
+        if self.kind is Kind.DWP:
+            ascending, k, acc = sorted(lengths), 0, 0.0
+            for d, j in sorted((d, j) for j, d in enumerate(self.batteries) if d is not None):
+                while k < len(ascending) and ascending[k] <= d:
+                    acc += ascending[k]
+                    k += 1
+                takes[j] = acc
+        elif self.kind is Kind.RESTRICTED:
+            for length, machines in zip(lengths, self.eligibility):
+                for j in machines:
+                    takes[j] += length
+        for j, (load, speed) in enumerate(zip(takes, self.speeds)):
+            if not load / speed < math.inf:
+                raise UsageError(f"finish times overflow f64: the lengths machine {j} "
+                                 f"can take, over its speed, do not sum to a finite value")
 
     @property
     def m(self) -> int:

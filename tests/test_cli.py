@@ -231,6 +231,25 @@ def test_schedule_non_finite_f64_exit_2(tmp_path, capsys, algo, case):
                      "--numeric", "rational"]) == 0
 
 
+# Only the jobs a machine can take count towards its finish time: the
+# 1e-300 machine can take no job, so these schedule at makespan 1e300.
+SLOW_IDLE_F64 = {
+    "dwp-lpt": "DWP 2 1\n1e-300 1\n1 1e301\n1e300\n",
+    "lpt-restricted": "RESTRICTED 2 1\n1e-300\n1\n1e300 1 1\n",
+}
+
+
+@pytest.mark.parametrize("algo", list(SLOW_IDLE_F64))
+def test_schedule_idle_slow_machine_does_not_overflow(tmp_path, capsys, algo):
+    path = tmp_path / "idle.txt"
+    path.write_text(SLOW_IDLE_F64[algo], encoding="utf-8")
+    for name in (algo, "opt"):
+        code = main(["schedule", "--algo", name, "--input", str(path), "--numeric", "f64"])
+        assert code == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["makespan"] == "1e+300" and payload["assignment"] == [[], [0]]
+
+
 # -- gen -----------------------------------------------------------------------
 
 def test_gen_deterministic(capsys):

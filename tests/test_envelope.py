@@ -1,13 +1,16 @@
 import json
 import math
 import random
+import sys
+import threading
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from makespan import (GenSpec, Line, LowerEnvelope, Mode, UsageError, dwp_lpt,
-                      generate, lpt_fast)
+                      envelope, generate, lpt_fast)
 from makespan.scheduler import _Slope
 
 from conftest import linear_scan_min
@@ -733,3 +736,189 @@ def test_lpt_never_rebuilds_after_admission(monkeypatch, mode, scheduler, family
         spec = GenSpec(family=family, n=600, m=60, seed=seed, **options)
         scheduler(generate(spec, mode), record_trace=False)
     assert calls["_rebuild"] == calls["_grow"] >= 4, calls
+
+
+def test_pinned_lpt_counters_on_the_median_fleet_instance():
+    # f64 lpt-fast on the median fleet-distinct size: the tournament's
+    # replays and comparisons are counts, fixed by the instance, and must
+    # not move with the tournament's storage
+    spec = GenSpec(family="uniform-usp", n=2828, m=282, seed=901, **DISTINCT)
+    counters = lpt_fast(generate(spec, Mode.F64), record_trace=False).counters
+    assert counters["replays"] == counters["comparisons"] == 23455
+
+
+class _Lines(dict):
+    """owner -> Line: a plain model of an envelope's lines, for linear_scan_min."""
+
+    def lines(self):
+        return list(self.values())
+
+
+def test_index_tables_grow_under_a_running_envelope(monkeypatch):
+    # Every envelope shares the index tables (here fresh ones, so the sizes
+    # do not depend on the tests run before). An envelope's first batch
+    # builds them to 128 ids; its row then doubles past that in an
+    # admission between two LPT steps, which grows them in place under the
+    # running raise_each. An envelope built after it reads the same lists.
+    # Both answer as the scan does.
+    names = ("_PARENT", "_SIBLING", "_DEPTH", "_LEFT", "_RIGHT")
+    for name in names:
+        monkeypatch.setattr(envelope, name, [])
+    tables = [getattr(envelope, name) for name in names]
+    for size, points in ((64, 12), (21, 6)):
+        rng = random.Random(size)
+        env, model = LowerEnvelope(), _Lines()
+        start = [Line(_Slope(2 * j + 1), 0, j) for j in range(size)]
+        model.update((line.owner, line) for line in start)
+        env.insert(*start)
+        if size == 64:
+            assert len(envelope._PARENT) == 128
+        batch = [Line(_Slope(2 * j), rng.randint(0, 50), size + j) for j in range(1, size + 1)]
+        xs = sorted((rng.randint(1, 10 ** 4) for _ in range(points)), reverse=True)
+        owners, values = env.raise_each(xs, [(points // 2, batch)])
+        for k, (x, owner, value) in enumerate(zip(xs, owners, values)):
+            if k == points // 2:
+                model.update((line.owner, line) for line in batch)
+            assert (owner, value) == linear_scan_min(model, x)
+            model[owner] = model[owner]._replace(intercept=value)
+        assert env._cap == 2 * size
+        env.check_invariants()
+        for x in (0, 7, xs[-1], 3 * xs[0]):
+            assert env.query_min(x) == linear_scan_min(model, x)
+        env.check_invariants()
+        assert all(getattr(envelope, name) is t for name, t in zip(names, tables))
+        assert len(envelope._PARENT) == 256 == 2 * len(envelope._LEFT)
+
+
+def test_index_tables_grow_once_under_racing_threads(monkeypatch):
+    # Envelopes in different threads share the tables: growth from eight
+    # threads at once, switching as often as the interpreter allows, must
+    # leave every entry exactly once and right.
+    for name in ("_PARENT", "_SIBLING", "_DEPTH", "_LEFT", "_RIGHT"):
+        monkeypatch.setattr(envelope, name, [])
+    sizes = [2 ** k + 1 for k in range(9, 17)]
+    random.Random(5).shuffle(sizes)
+    threads = [threading.Thread(target=envelope._index_tables, args=(size,)) for size in sizes]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    ids = range(2 ** 17)
+    assert envelope._PARENT == [k >> 1 for k in ids]
+    assert envelope._SIBLING == [k ^ 1 for k in ids]
+    assert envelope._DEPTH == [k.bit_length() - 1 for k in ids]
+    assert envelope._LEFT == [2 * k for k in ids[:2 ** 16]]
+    assert envelope._RIGHT == [2 * k + 1 for k in ids[:2 ** 16]]
+
+
+class TournamentMachine(RuleBasedStateMachine):
+    """Random calls on one Fraction-line envelope: batch inserts on shared
+    slopes (new slopes grow the row), deletes of a bucket's minimum and of
+    another line, queries at any x >= 0, and raise_each runs at falling or
+    arbitrary points with admissions between their steps. Every answer is
+    checked against a linear scan of a plain model of the lines, and after
+    every call check_invariants runs and the lines match the model."""
+
+    slopes = st.integers(-8, 8)
+    intercepts = st.integers(-60, 120).map(lambda k: F(k, 3))
+    points = st.integers(0, 240).map(lambda k: F(k, 4))
+
+    @staticmethod
+    def slope(k):
+        return F(k, 2)
+
+    def __init__(self):
+        super().__init__()
+        self.env = LowerEnvelope()
+        self.model = _Lines()
+        self.owner = 0
+
+    def fresh(self, pairs) -> list:
+        """Lines with new owners, not yet in the model."""
+        lines = [Line(self.slope(k), b, self.owner + i) for i, (k, b) in enumerate(pairs)]
+        self.owner += len(lines)
+        return lines
+
+    def buckets(self) -> list:
+        """The model's lines by slope, each bucket least (intercept, owner) first."""
+        by_slope = {}
+        for line in self.model.values():
+            by_slope.setdefault(line.slope, []).append(line)
+        return [sorted(lines, key=lambda l: (l.intercept, l.owner))
+                for _, lines in sorted(by_slope.items())]
+
+    def _batch(self):
+        return st.lists(st.tuples(self.slopes, self.intercepts), min_size=1, max_size=6)
+
+    @rule(data=st.data())
+    def insert(self, data):
+        lines = self.fresh(data.draw(self._batch()))
+        self.env.insert(*lines)
+        self.model.update((line.owner, line) for line in lines)
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def delete_bucket_minimum(self, data):
+        owner = data.draw(st.sampled_from(self.buckets()))[0].owner
+        self.env.delete(owner)
+        del self.model[owner]
+
+    @precondition(lambda self: len(self.model) > len({l.slope for l in self.model.values()}))
+    @rule(data=st.data())
+    def delete_other_line(self, data):
+        bucket = data.draw(st.sampled_from([b for b in self.buckets() if len(b) > 1]))
+        owner = data.draw(st.sampled_from(bucket[1:])).owner
+        self.env.delete(owner)
+        del self.model[owner]
+
+    @precondition(lambda self: self.model)
+    @rule(data=st.data())
+    def query(self, data):
+        x = data.draw(self.points)
+        assert self.env.query_min(x) == linear_scan_min(self.model, x)
+
+    @rule(data=st.data(), falling=st.booleans())
+    def raise_each(self, data, falling):
+        xs = data.draw(st.lists(self.points, min_size=1, max_size=8))
+        if falling:
+            xs.sort(reverse=True)
+        steps = data.draw(st.lists(st.integers(0, len(xs) - 1), max_size=3))
+        admit = [(k, self.fresh(data.draw(self._batch()))) for k in sorted(steps)]
+        if not self.model and not (admit and admit[0][0] == 0):
+            return  # nothing to query before the first admission
+        want, pending = [], list(admit)
+        for k, x in enumerate(xs):
+            while pending and pending[0][0] == k:
+                self.model.update((line.owner, line) for line in pending.pop(0)[1])
+            owner, value = linear_scan_min(self.model, x)
+            want.append((owner, value))
+            self.model[owner] = self.model[owner]._replace(intercept=value)
+        assert list(zip(*self.env.raise_each(xs, admit))) == want
+
+    @invariant()
+    def matches_model(self):
+        self.env.check_invariants()
+        assert {line.owner: line for line in self.env.lines()} == self.model
+
+
+class IntegerTournamentMachine(TournamentMachine):
+    """The same calls on the exact LPT loops' lines: _Slope slopes, integer
+    intercepts and integer points, where the tournament rounds each
+    crossing up and still decides exactly."""
+
+    intercepts = st.integers(-20, 40)
+    points = st.integers(0, 60)
+    slope = staticmethod(_Slope)
+
+
+_MACHINE_SETTINGS = settings(max_examples=100, stateful_step_count=30, deadline=None)
+TestTournamentMachine = TournamentMachine.TestCase
+TestTournamentMachine.settings = _MACHINE_SETTINGS
+TestIntegerTournamentMachine = IntegerTournamentMachine.TestCase
+TestIntegerTournamentMachine.settings = _MACHINE_SETTINGS

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from makespan import (Instance, Kind, UsageError, build_schedule, dwp_lpt,
-                      feasibility_check, lpt_fast, lpt_naive, makespan, validate)
+                      feasibility_check, lpt_fast, lpt_naive, lpt_restricted, makespan,
+                      validate)
 from makespan.model import Schedule, battery_order, decided_on
 
 from conftest import dwp, restricted, usp
@@ -160,6 +161,21 @@ def test_instance_rejects_non_finite_floats():
             usp(speeds, lengths)
     assert usp([1.0], [1e308]).lengths == (1e308,)
     assert usp([F(1, 10**300)], [F(10**300)] * 3).n == 3  # Fractions never overflow
+
+
+def test_overflow_rule_counts_only_the_jobs_a_machine_can_take():
+    # the slowest machine can take no job, so no finish time overflows
+    for instance, lpt in ((dwp([(1e-300, 1.0), (1.0, 1e301)], [1e300]), dwp_lpt),
+                          (restricted([1e-300, 1.0], [(1e300, {1})]), lpt_restricted)):
+        schedule = lpt(instance).schedule
+        assert schedule.assignment == ((), (0,)) and schedule.makespan == 1e300
+        assert validate(instance, schedule).ok
+    # a machine that can take a job must finish it at a finite time
+    for make in (lambda: dwp([(1e-300, 1e300), (1.0, 1e301)], [1e300]),
+                 lambda: restricted([1e-300, 1.0], [(1e300, {0, 1})]),
+                 lambda: dwp([(1.0, 1e308), (1.0, None)], [1e308, 1e308])):
+        with pytest.raises(UsageError, match="overflow"):
+            make()
 
 
 def test_instance_rejects_mixed_modes():
